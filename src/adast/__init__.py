@@ -24,7 +24,6 @@ from .errors import (  # noqa: F401
     ConfigError,
     GraphConnectivityError,
     InvalidGraphError,
-    PowerIterationError,
     UnsupportedConfigError,
 )
 from .metrics import (  # noqa: F401

@@ -213,9 +213,33 @@ class Trace:
 
 
 def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One gossip round in the mean-centered form (see module docstring)."""
+    """One gossip round in the mean-centered form (see module docstring).
+
+    W is a dense matrix or a ``_Gather``; only ``W @`` is used."""
     m = np.add.reduce(V, axis=0) / V.shape[0]
     return np.add(m, W @ (V - m), out=out)
+
+
+class _Gather:
+    """A sparse W as padded neighbour lists: row i of ``W @ D`` sums the
+    rows idx[i] of D weighted by w[i], O(n k c) instead of the dense
+    GEMM's O(n^2 c).  Rows with fewer than k nonzeros pad with their own
+    index at weight 0."""
+
+    def __init__(self, W: np.ndarray, k: int):
+        n = W.shape[0]
+        rows, cols = np.nonzero(W)
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.repeat(np.arange(n)[:, None], k, axis=1)
+        idx[rows, slot] = cols
+        self.idx = idx.ravel()
+        self.w = np.zeros((n, k))
+        self.w[rows, slot] = W[rows, cols]
+
+    def __matmul__(self, D: np.ndarray) -> np.ndarray:
+        n, k = self.w.shape
+        return np.einsum("nk,nkc->nc", self.w, np.take(D, self.idx, axis=0).reshape(n, k, -1))
 
 
 def _neg_pow(m: np.ndarray, neg_expo) -> np.ndarray:
@@ -282,7 +306,15 @@ class _Stepper:
         n, cols = Z.shape
         p, d = state.p, state.d
         a = p + d
-        self.Z, self.W, self.p, self.a, self.q = Z, W, p, a, cols - a
+        self.Z, self.p, self.a, self.q = Z, p, a, cols - a
+        # Gossip by neighbour gather when the widest row of W has k nonzeros
+        # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
+        # dense / gather, 2-core box, 2 columns: ring (k = 3) n = 128 16 / 23,
+        # n = 200 23 / 28, n = 400 39 / 29 (96 / 40 at 8 columns), n = 1600
+        # 1508 / 128; exponential n = 400 (k = 10) 48 / 45, n = 1024 (k = 11)
+        # 568 / 108; dense n = 400 (k = 201) 31 / 561.
+        k = int(np.count_nonzero(W, axis=1).max())
+        self.W = _Gather(W, k) if k * 64 < n else W
         self.coord = state.coord
         self.adaptive = cfg.algo in ADAPTIVE_ALGORITHMS
         tracking = cfg.algo in TRACKING_ALGORITHMS
@@ -368,23 +400,13 @@ def _step(
     stepper.step(np.concatenate([GX, GY], axis=1), np.empty((state.n, stepper.width)))
 
 
-def _screen_fails(state: RunState) -> bool:
-    """The run's abort condition: the sum of the four field sums is not
-    finite.  A non-finite entry trips it, and so can finite entries whose
-    sum overflows."""
-    total = 0.0
-    for name in ("X", "Y", "Mx", "My"):
-        total += float(np.ascontiguousarray(getattr(state, name)).sum())
-    return not math.isfinite(total)
-
-
 def _find_nonfinite(state: RunState) -> tuple[int, str]:
+    """The field, in the order X, Y, Mx, My, and its first node holding a
+    non-finite entry; the state must hold one."""
     for name in ("X", "Y", "Mx", "My"):
         bad = ~np.isfinite(getattr(state, name))
         if bad.any():
             return int(np.argwhere(bad)[0][0]), name
-    # the screen tripped on an overflowing sum of finite entries
-    return 0, "X"
 
 
 class _Tally:
@@ -543,10 +565,9 @@ def run(
             step(sample_grad_block(problem, XY, noise, stream, k), rows[j])
             j += 1
             state.k = k + 1
-            # Cheap pre-screen: the sum of squares overflows whenever an
-            # entry is non-finite or some partial sum of the abort screen
-            # can overflow, so the screen itself runs only near divergence.
-            if not math.isfinite(np.vdot(Z, Z)) and _screen_fails(state):
+            # Cheap pre-screen: the sum of squares is finite only when every
+            # entry is, so the entrywise screen runs only near divergence.
+            if not math.isfinite(np.vdot(Z, Z)) and not np.isfinite(Z).all():
                 node, field_name = _find_nonfinite(state)
                 abort = AbortInfo(k=k + 1, node=node, field=field_name)
                 break

@@ -22,10 +22,3 @@ class InvalidGraphError(ConfigError):
 class UnsupportedConfigError(ConfigError):
     """A closed-form path was requested for a configuration it does not cover."""
 
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate

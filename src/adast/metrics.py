@@ -124,23 +124,6 @@ def consensus_error(
     return dev_sq(X), dev_sq(Y)
 
 
-def _zeta_scalar(vals: np.ndarray, expo: float) -> float:
-    if vals.min() == vals.max():
-        return 0.0
-    vbar_pow = float(np.mean(vals)) ** (-expo)
-    dev = vals ** (-expo) - vbar_pow
-    return float(np.max(dev * dev) / (vbar_pow * vbar_pow))
-
-
-def _zeta_matrix(vals: np.ndarray, expo: float) -> float:
-    if vals.min() == vals.max():
-        return 0.0
-    n, p = vals.shape
-    vbar_pow = float(np.mean(vals)) ** (-expo)
-    dev = vals ** (-expo) - vbar_pow
-    return float(np.sum(dev * dev) / (n * p * vbar_pow * vbar_pow))
-
-
 def inconsistency_v(v_values: np.ndarray, alpha: float) -> float:
     """Per-iteration primal stepsize inconsistency.
 
@@ -150,9 +133,7 @@ def inconsistency_v(v_values: np.ndarray, alpha: float) -> float:
     v_values = np.asarray(v_values, dtype=float)
     if np.any(v_values <= 0):
         raise ConfigError("stepsize denominators must be positive")
-    if v_values.ndim == 1:
-        return _zeta_scalar(v_values, alpha)
-    return _zeta_matrix(v_values, alpha)
+    return float(zeta_series(v_values[None], alpha)[0])
 
 
 def inconsistency_u(u_values: np.ndarray, beta: float) -> float:
@@ -197,8 +178,4 @@ def zeta_hat(v_matrix: np.ndarray, expo: float) -> float:
     V = np.asarray(v_matrix, dtype=float)
     if V.ndim != 2:
         raise ConfigError("zeta_hat needs an (n, p) denominator matrix")
-    n, p = V.shape
-    vbar_pow = float(np.mean(V)) ** (-expo)
-    row_mean_pow = V.mean(axis=1, keepdims=True) ** (-expo)
-    dev = V ** (-expo) - row_mean_pow
-    return float(np.sum(dev * dev) / (n * p * vbar_pow * vbar_pow))
+    return float(zeta_hat_series(V[None], expo)[0])

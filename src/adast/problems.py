@@ -174,8 +174,7 @@ class QuadraticMinimaxProblem:
 
         try:
             self._B_bar_chol = np.linalg.cholesky(self.B_bar)
-            for i, Bi in enumerate(self.B_stack):
-                np.linalg.cholesky(Bi)
+            np.linalg.cholesky(self.B_stack)
         except LinAlgError as exc:
             raise ConfigError(
                 "strong concavity violated: a B block is not positive definite"
@@ -191,14 +190,9 @@ class QuadraticMinimaxProblem:
 
         # Modulus of strong concavity: the smallest eigenvalue over all
         # local B blocks (lambda_min is concave, so this also bounds Bbar).
-        self.mu = float(min(np.linalg.eigvalsh(Bi)[0] for Bi in self.B_stack))
+        self.mu = float(np.linalg.eigvalsh(self.B_stack)[:, 0].min())
         # Joint smoothness: largest spectral norm of the stacked gradient maps.
-        self.L = float(
-            max(
-                np.linalg.norm(np.block([[-l.C, l.A], [l.A.T, -l.B]]), ord=2)
-                for l in self.locals
-            )
-        )
+        self.L = float(np.linalg.norm(self._M_stack, ord=2, axis=(1, 2)).max())
 
     @property
     def n(self) -> int:

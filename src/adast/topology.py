@@ -19,12 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GraphConnectivityError,
-    InvalidGraphError,
-    PowerIterationError,
-)
+from .errors import ConfigError, GraphConnectivityError, InvalidGraphError
 
 __all__ = [
     "GraphKind",
@@ -268,50 +263,16 @@ def svd_rho(W: np.ndarray) -> float:
     return float(s[0] ** 2)
 
 
-def spectral_rho(
-    W: np.ndarray,
-    rtol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> float:
-    """Squared spectral norm of W - J by power iteration on (W-J)^T (W-J).
-
-    Falls back to a dense SVD for n <= 64 if the iteration stalls; larger
-    matrices raise PowerIterationError carrying the last estimate.
-    """
+def spectral_rho(W: np.ndarray) -> float:
+    """Squared spectral norm of A = W - J, exactly: max |eigenvalue|^2 when
+    A is symmetric, else the largest eigenvalue of A^T A."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"weight matrix must be square, got shape {W.shape}")
-    n = W.shape[0]
-    if n == 1:
-        return 0.0
-
-    A = W - np.full((n, n), 1.0 / n)
-    if np.abs(A).max() < 1e-15:
-        return 0.0
-
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = -1.0
-    lam = 0.0
-    for _ in range(max_iter):
-        z = A.T @ (A @ v)
-        norm_z = np.linalg.norm(z)
-        if norm_z == 0.0:
-            # v landed in the null space; restart once from a fresh direction
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        lam = float(v @ z)
-        v = z / norm_z
-        if abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-300):
-            return max(lam, 0.0)
-        lam_prev = lam
-    if n <= 64:
-        return svd_rho(W)
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", last_estimate=lam
-    )
+    A = W - 1.0 / W.shape[0]
+    if np.array_equal(A, A.T):
+        return float(np.abs(np.linalg.eigvalsh(A)).max() ** 2)
+    return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
 @dataclass(frozen=True)

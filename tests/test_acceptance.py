@@ -383,7 +383,7 @@ def test_criterion_6_weight_matrix_suite():
 
     ok = all_valid and worst_gap <= 1e-8 and ring4_err <= 1e-9
     _report("6 (weight-matrix suite)", ok,
-            f"all doubly stochastic at 1e-12: {all_valid}; power-iteration vs SVD "
+            f"all doubly stochastic at 1e-12: {all_valid}; eigenvalue route vs SVD "
             f"gap {worst_gap:.2e} <= 1e-8; ring4 |rho - 1/9| = {ring4_err:.2e} <= 1e-9")
     assert all_valid
     assert worst_gap <= 1e-8

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adast.algorithms import (
+    AbortInfo,
     AlgoConfig,
     centralized_tiada,
     mix,
@@ -74,6 +75,59 @@ def test_mix_preserves_average_and_reaches_consensus():
     for _ in range(400):
         V = mix(W, V)
     assert np.allclose(V, V.mean(axis=0), atol=1e-10)
+
+
+def _sparse_doubly_stochastic(n, seed, symmetric=False):
+    """A convex mix of the identity and three random permutation matrices,
+    so at most 4 nonzeros per row (7 once symmetrised)."""
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.ones(4))
+    W = c[0] * np.eye(n)
+    for cj in c[1:]:
+        W[np.arange(n), rng.permutation(n)] += cj
+    return 0.5 * (W + W.T) if symmetric else W
+
+
+@pytest.mark.parametrize("n,symmetric", [(256, False), (512, True), (1000, False)])
+def test_gather_matches_dense_product_and_conserves_mass(n, symmetric):
+    from adast.algorithms import _Gather
+
+    W = _sparse_doubly_stochastic(n, seed=n, symmetric=symmetric)
+    k = int(np.count_nonzero(W, axis=1).max())
+    G = _Gather(W, k)
+    rng = np.random.default_rng(1)
+    for c in (1, 2, 9):
+        D = rng.standard_normal((n, c)) * 10
+        assert np.abs(G @ D - W @ D).max() <= 1e-15 * np.linalg.norm(D)
+    V = rng.standard_normal((n, 3)) * 100
+    mean = V.mean(axis=0)
+    for _ in range(50):
+        V = mix(G, V)
+    assert np.allclose(V.mean(axis=0), mean, rtol=0, atol=1e-13)
+
+
+def test_large_ring_run_on_the_gather_matches_the_dense_run(monkeypatch):
+    import adast.algorithms as alg
+
+    prob = make_random_problem(n=400, p=2, d=2, seed=11)
+    W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W
+    cfg = AlgoConfig(algo="d-adast", gamma_x=0.05, gamma_y=0.1, K=200)
+    kw = dict(x0=np.linspace(-1, 1, 400)[:, None] * [1.0, 0.5], y0=0.2, seed=3, trace_stride=10)
+    state = alg._initial_state(prob, cfg, None, None)
+    assert isinstance(alg._Stepper(state, W, cfg).W, alg._Gather)
+    got = run(prob, W, cfg, NoiseModel.gaussian(0.1), **kw)
+    with monkeypatch.context() as m:
+        m.setattr(alg, "_Gather", lambda W, k: W)
+        ref = run(prob, W, cfg, NoiseModel.gaussian(0.1), **kw)
+    assert len(got.records) == len(ref.records)
+    for a, b in zip(got.records, ref.records):
+        assert a.k == b.k
+        for name in ("grad_phi_sq", "grad_xf_sq", "consensus_x", "consensus_y", "zeta_v_inst",
+                     "zeta_u_inst", "avg_m_x", "avg_m_y", "xbar", "ybar"):
+            assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-12, atol=0), name
+    for r in got.records[1:]:
+        assert abs(r.avg_m_x - cfg.c0 - got.gsum_x_series[r.k - 1]) <= 1e-12 * r.avg_m_x
+        assert abs(r.avg_m_y - cfg.c0 - got.gsum_y_series[r.k - 1]) <= 1e-12 * r.avg_m_y
 
 
 # ------------------------------------------------------------------- d-sgda
@@ -421,6 +475,27 @@ def test_run_large_finite_state_does_not_abort():
     trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, x0=1e200, y0=1e200, trace_stride=1)
     assert not trace.aborted
     assert np.all(trace.final_state.X == 1e200)
+
+
+def test_run_finite_state_whose_sum_overflows_does_not_abort():
+    # two finite 1e308 entries in X sum to inf; only a non-finite entry aborts
+    loc = QuadraticLocal(B=np.eye(1), A=np.zeros((2, 1)), C=np.zeros((2, 2)), b=np.zeros(2),
+                         c=np.zeros(1))
+    cfg = AlgoConfig(algo="d-sgda", gamma_x=0.1, gamma_y=0.1, K=5)
+    trace = run(QuadraticMinimaxProblem([loc]), np.ones((1, 1)), cfg, x0=[1e308, 1e308],
+                trace_stride=1)
+    assert not trace.aborted
+    assert np.all(trace.final_state.X == 1e308)
+
+
+def test_run_abort_names_the_node_and_field_of_the_nonfinite_entry():
+    # node 2's squared y-gradient overflows into its local accumulator My;
+    # the zero stepsize that follows keeps X and Y finite
+    p = _scalar_problem(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0, n=3)
+    cfg = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, K=5)
+    trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, y0=[[0.0], [0.0], [1e200]])
+    assert trace.abort == AbortInfo(k=1, node=2, field="My")
+    assert np.isfinite(trace.final_state.X).all() and np.isfinite(trace.final_state.Y).all()
 
 
 def test_run_rejects_mismatched_weights():

@@ -120,6 +120,21 @@ def test_spectral_rho_matches_svd_oracle_property(seed):
     assert spectral_rho(W) == pytest.approx(svd_rho(W), abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [400, 1600])
+def test_spectral_rho_matches_ring_closed_form(n):
+    rho = weights_for(GraphSpec(n=n, kind=GraphKind.RING)).rho_w
+    exact = ((1.0 + 2.0 * np.cos(2.0 * np.pi / n)) / 3.0) ** 2
+    assert abs((1.0 - rho) - (1.0 - exact)) <= 1e-9 * (1.0 - exact)
+
+
+@pytest.mark.parametrize("n,expect", [(64, 0.5102040816), (512, 0.64)])
+def test_spectral_rho_matches_exponential_closed_form(n, expect):
+    # Ying et al. 2021: with n = 2^tau, rho_w = (1 - 2 / (1 + tau))^2
+    rho = weights_for(GraphSpec(n=n, kind=GraphKind.EXPONENTIAL)).rho_w
+    assert rho == pytest.approx((1.0 - 2.0 / (1.0 + np.log2(n))) ** 2, rel=1e-12)
+    assert rho == pytest.approx(expect, rel=1e-10)
+
+
 def test_validation_report():
     J = np.full((3, 3), 1.0 / 3.0)
     assert validate_doubly_stochastic(J, tol=1e-12).passed
