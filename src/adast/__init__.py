@@ -13,7 +13,6 @@ from .algorithms import (  # noqa: F401
     ALGORITHMS,
     AbortInfo,
     AlgoConfig,
-    NodeState,
     RunState,
     Trace,
     centralized_tiada,

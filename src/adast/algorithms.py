@@ -46,7 +46,6 @@ __all__ = [
     "ALGORITHMS",
     "ADAPTIVE_ALGORITHMS",
     "AlgoConfig",
-    "NodeState",
     "RunState",
     "AbortInfo",
     "Trace",
@@ -122,16 +121,6 @@ class AlgoConfig:
         }
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """Read-only view of one node's variables."""
-
-    x: np.ndarray
-    y: np.ndarray
-    m_x: np.ndarray | float
-    m_y: np.ndarray | float
-
-
 @dataclass
 class RunState:
     """Stacked node state; X, Y, Mx and My are views into the block Z.
@@ -167,16 +156,6 @@ class RunState:
     def My(self) -> np.ndarray:
         a = self.p + self.d
         return self.Z[:, a + self.p:] if self.coord else self.Z[:, a + 1]
-
-    def node(self, i: int) -> NodeState:
-        mx = self.Mx[i]
-        my = self.My[i]
-        return NodeState(
-            x=self.X[i].copy(),
-            y=self.Y[i].copy(),
-            m_x=mx.copy() if isinstance(mx, np.ndarray) else float(mx),
-            m_y=my.copy() if isinstance(my, np.ndarray) else float(my),
-        )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .algorithms import AlgoConfig, Trace, run
 from .errors import ConfigError
 from .metrics import TraceRecord
 from .problems import (
+    GradientStream,
     NoiseModel,
     QuadraticMinimaxProblem,
     make_counterexample,
@@ -356,7 +357,7 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
         "rho_w": wm.rho_w,
         "rho_w_spectral_norm": wm.spectral_norm,
         "weights_validation": validation.to_dict(),
-        "noise": prepared.noise.to_dict(),
+        "noise": {**prepared.noise.to_dict(), "stream": GradientStream.VERSION},
         "init": prepared.init_note,
         "init_x0": prepared.X0.tolist(),
         "init_y0": prepared.Y0.tolist(),

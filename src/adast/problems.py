@@ -437,24 +437,67 @@ def project(pset: ProjectionSet, v: np.ndarray) -> np.ndarray:
     return pset.center + dev * scale
 
 
-class GradientStream:
-    """Counter-based Gaussian stream keyed by (seed, iteration, axis).
+# Doubles in one cached chunk of a GradientStream.  A speed constant only:
+# a value never depends on the chunk it was read from.
+CHUNK_DOUBLES = 1 << 14
 
-    Each (iteration, axis) pair owns an independent Philox counter
-    position, and a node's draw is row i of the (n, dim) block, so the
-    value seen by node i depends only on (seed, i, iteration, axis) and
-    is independent of scheduling or evaluation order.
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """One standard normal per 64-bit word.
+
+    Each word w gives u = ((w >> 11) + 0.5) 2^-53 in (0, 1] (rounded to
+    the nearest double), and each pair (u0, u1) gives r cos(2 pi u1) and
+    r sin(2 pi u1) with r = sqrt(-2 log u0).
     """
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    u = u.reshape(-1, 2)
+    r = np.sqrt(-2.0 * np.log(u[:, 0]))
+    theta = 2.0 * np.pi * u[:, 1]
+    z = np.empty_like(u)
+    np.multiply(r, np.cos(theta), out=z[:, 0])
+    np.multiply(r, np.sin(theta), out=z[:, 1])
+    return z.reshape(-1)
+
+
+class GradientStream:
+    """Counter-based Gaussian noise (stream version ``VERSION``).
+
+    Axis a reads the Philox4x64 stream keyed (seed, a) (Salmon et al.,
+    SC'11).  Iteration k of an (n, dim) block reads the stream's words
+    [k B, (k+1) B), where B is n * dim rounded up to whole 4-word Philox
+    blocks, and every normal uses exactly one word (``_box_muller``).  So
+    node i's value depends only on (seed, n, dim, i, k, axis), and not on
+    the horizon, the order of reads, the chunking or the thread count.
+
+    The words are drawn a chunk of iterations at a time: one chunk per
+    (axis, n, dim), of at most CHUNK_DOUBLES doubles or a single
+    iteration, refilled when k leaves it.
+    """
+
+    VERSION = 2
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._chunks: dict[tuple[int, int, int], tuple[int, np.ndarray]] = {}
 
     def normal_block(self, k: int, axis: int, n: int, dim: int) -> np.ndarray:
-        bitgen = np.random.Philox(key=[self.seed, axis], counter=[k, 0, 0, 0])
-        return np.random.Generator(bitgen).standard_normal((n, dim))
-
-    def normal_for_node(self, node: int, k: int, axis: int, dim: int) -> np.ndarray:
-        return self.normal_block(k, axis, node + 1, dim)[node]
+        """The read-only (n, dim) standard normals of iteration k on axis."""
+        cached = self._chunks.get((axis, n, dim))
+        if cached is not None:
+            k0, blocks = cached
+            if 0 <= k - k0 < len(blocks):
+                return blocks[k - k0]
+        B = -(-n * dim // 4) * 4
+        C = max(1, CHUNK_DOUBLES // B)
+        k0 = k - k % C
+        bitgen = np.random.Philox(key=[self.seed, axis], counter=k0 * B // 4)
+        z = _box_muller(bitgen.random_raw(C * B)).reshape(C, B)
+        blocks = z[:, :n * dim].reshape(C, n, dim)
+        blocks.flags.writeable = False
+        self._chunks[(axis, n, dim)] = (k0, blocks)
+        return blocks[k - k0]
 
 
 def _apply_noise(
@@ -508,15 +551,16 @@ def sample_grad(
     stream: GradientStream | None,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-node stochastic gradient; row i of the block draw."""
+    """Single-node stochastic gradient; its noise is row i of the
+    (problem.n, dim) block draw."""
     gx = problem.grad_x(i, x, y)
     gy = problem.grad_y(i, x, y)
     if noise.kind == "none":
         return gx, gy
     if stream is None:
         raise ConfigError("noisy sampling needs a gradient stream")
-    gx = gx + noise.sigma * stream.normal_for_node(i, k, X_AXIS, problem.p)
-    gy = gy + noise.sigma * stream.normal_for_node(i, k, Y_AXIS, problem.d)
+    gx = gx + noise.sigma * stream.normal_block(k, X_AXIS, problem.n, problem.p)[i]
+    gy = gy + noise.sigma * stream.normal_block(k, Y_AXIS, problem.n, problem.d)[i]
     if noise.kind == "gaussian-clipped":
         for g in (gx, gy):
             norm = np.linalg.norm(g)

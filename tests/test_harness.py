@@ -17,7 +17,7 @@ from adast.harness import (
     write_trace,
 )
 from adast.metrics import TraceRecord
-from adast.problems import NoiseModel, QuadraticMinimaxProblem
+from adast.problems import GradientStream, NoiseModel, QuadraticMinimaxProblem
 from adast.topology import GraphKind, GraphSpec, weights_for
 
 
@@ -126,7 +126,9 @@ def test_manifest_completeness_and_rerun(tmp_path):
         algo=ac["algo"], gamma_x=ac["gamma_x"], gamma_y=ac["gamma_y"], alpha=ac["alpha"],
         beta=ac["beta"], c0=ac["c0"], K=ac["K"], stepsize_source=ac["stepsize_source"],
     )
-    noise = NoiseModel(**man["noise"])
+    noise_doc = dict(man["noise"])
+    assert noise_doc.pop("stream") == GradientStream.VERSION == 2
+    noise = NoiseModel(**noise_doc)
     trace2 = algorun(
         problem, wm.W, cfg2, noise,
         x0=np.asarray(man["init_x0"]), y0=np.asarray(man["init_y0"]),

@@ -282,10 +282,68 @@ def test_stream_determinism_and_keying():
     assert np.array_equal(b1, b2)
     assert not np.array_equal(b1, s1.normal_block(k=4, axis=0, n=4, dim=2))
     assert not np.array_equal(b1, s1.normal_block(k=3, axis=1, n=4, dim=2))
-    # per-node draw equals its row in the block, independent of block height
-    assert np.array_equal(s1.normal_for_node(2, k=3, axis=0, dim=2), b1[2])
-    bigger = s1.normal_block(k=3, axis=0, n=9, dim=2)
-    assert np.array_equal(bigger[:4], b1)
+    assert not np.array_equal(b1, GradientStream(43).normal_block(k=3, axis=0, n=4, dim=2))
+    # a per-node sample is its row of the block
+    prob = make_random_problem(n=4, p=2, d=2, seed=5)
+    x, y = np.array([0.3, -0.1]), np.array([0.2, 0.5])
+    for i in range(4):
+        gx, gy = sample_grad(prob, i, x, y, NoiseModel.gaussian(0.7), s1, k=3)
+        assert np.array_equal(gx, prob.grad_x(i, x, y) + 0.7 * b1[i])
+        assert np.array_equal(
+            gy, prob.grad_y(i, x, y) + 0.7 * s1.normal_block(k=3, axis=1, n=4, dim=2)[i])
+
+
+def _reference_block(seed, k, axis, n, dim):
+    """Iteration k's block drawn on its own: words [k B, (k+1) B) of the
+    (seed, axis) Philox stream, Box-Muller on word pairs."""
+    B = -(-n * dim // 4) * 4
+    w = np.random.Philox(key=[seed, axis]).random_raw((k + 1) * B)[k * B:]
+    u = (((w >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53).reshape(-1, 2)
+    r = np.sqrt(-2.0 * np.log(u[:, 0]))
+    z = np.stack([r * np.cos(2.0 * np.pi * u[:, 1]), r * np.sin(2.0 * np.pi * u[:, 1])], 1)
+    return z.reshape(-1)[: n * dim].reshape(n, dim)
+
+
+@pytest.mark.parametrize("n,dim", [(50, 1), (3, 2), (7, 3), (700, 40)])
+def test_stream_chunks_equal_single_iteration_draws(monkeypatch, n, dim):
+    import adast.problems as problems
+
+    ks = [0, 1, 2, 9, 400, 401, 3, 0, 1000, 999, 64, 5]
+    cold = GradientStream(2024)
+    got = [cold.normal_block(k, 1, n, dim).copy() for k in ks]
+    monkeypatch.setattr(problems, "CHUNK_DOUBLES", 1)
+    single = GradientStream(2024)
+    for k, block in zip(ks, got):
+        assert np.array_equal(block, single.normal_block(k, 1, n, dim))
+    for k in (0, 1, 5):
+        assert np.array_equal(got[ks.index(k)], _reference_block(2024, k, 1, n, dim))
+    # the chunk is shared, so the blocks it hands out cannot be written
+    with pytest.raises(ValueError):
+        cold.normal_block(2, 1, n, dim)[0, 0] = 0.0
+
+
+def test_stream_consecutive_iterations_share_no_noise():
+    # Regression: a stream that starts iteration k+1 four words after
+    # iteration k shares 46 of 50 values between them (lag-1 correlation 0.92).
+    stream = GradientStream(3)
+    means = np.empty(4000)
+    for k in range(4000):
+        block = stream.normal_block(k, 0, 50, 1)
+        if k % 500 == 0:
+            nxt = stream.normal_block(k + 1, 0, 50, 1)
+            assert np.intersect1d(block, nxt).size == 0
+        means[k] = block.mean()
+    rho = np.corrcoef(means[:-1], means[1:])[0, 1]
+    assert abs(rho) < 0.1
+
+
+def test_stream_normals_are_standard():
+    z = GradientStream(99).normal_block(k=0, axis=1, n=1_000_000, dim=1)[:, 0]
+    assert np.isfinite(z).all()
+    assert abs(z.mean()) <= 4 / math.sqrt(z.size)
+    assert abs(z.var() - 1.0) <= 0.01
+    tail = np.mean(np.abs(z) > 3.0)
+    assert abs(tail - 0.0027) <= 0.1 * 0.0027
 
 
 def test_sample_grads_block_matches_per_node():
