@@ -31,12 +31,14 @@ keeps the tracking-average identity tight over 1e5 iterations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import TraceRecord, consensus_error, grad_phi_sq, grad_xf_sq
+from .metrics import TRACE_HEADER, TraceRecord, consensus_error, grad_phi_sq, grad_xf_sq
 from .metrics import zeta_hat_series as _zeta_hat_series
 from .metrics import zeta_series as _zeta_series
 from .problems import ALL, GradientStream, NoiseModel, ProjectionSet, QuadraticMinimaxProblem, \
@@ -169,7 +171,14 @@ class AbortInfo:
 
 @dataclass
 class Trace:
-    """Run output: stride records plus cheap per-iteration series.
+    """Run output: record columns plus cheap per-iteration series.
+
+    Row t of every record column is the record at iteration k[t]: the
+    metrics of ``TRACE_HEADER`` as (R,) arrays, the node means xbar (R, p)
+    and ybar (R, d), and zeta_v_hat_inst (R,) for the coordinate-wise
+    variant (None otherwise).  grad_phi_sq is NaN when the dual domain is
+    constrained (the closed-form best response does not apply).
+    ``records`` views the same rows as ``TraceRecord`` objects.
 
     zeta_*_series[t] is the inconsistency of the stepsizes applied at
     iteration t (0-based); gsum_*_series[t] is the running node-mean of
@@ -177,7 +186,20 @@ class Trace:
     accumulator average must track (plus c0).
     """
 
-    records: list[TraceRecord]
+    k: np.ndarray
+    grad_phi_sq: np.ndarray
+    grad_xf_sq: np.ndarray
+    consensus_x: np.ndarray
+    consensus_y: np.ndarray
+    zeta_v_inst: np.ndarray
+    zeta_v_sup: np.ndarray
+    zeta_u_inst: np.ndarray
+    zeta_u_sup: np.ndarray
+    avg_m_x: np.ndarray
+    avg_m_y: np.ndarray
+    xbar: np.ndarray
+    ybar: np.ndarray
+    zeta_v_hat_inst: np.ndarray | None
     zeta_v_series: np.ndarray
     zeta_u_series: np.ndarray
     zeta_v_hat_series: np.ndarray | None
@@ -189,6 +211,38 @@ class Trace:
     @property
     def aborted(self) -> bool:
         return self.abort is not None
+
+    @property
+    def records(self) -> Sequence[TraceRecord]:
+        return _Rows(self)
+
+
+class _Rows(Sequence):
+    """Read-only row view of a Trace: rows are built as TraceRecords when
+    read, with None for a NaN grad_phi_sq and for an absent zeta_v_hat_inst."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.k)
+
+    def __getitem__(self, t):
+        rows = range(len(self))[t]
+        if isinstance(t, slice):
+            return list(self._build(rows))
+        return next(self._build(range(rows, rows + 1)))
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return self._build(range(len(self)))
+
+    def _build(self, rows: range) -> Iterator[TraceRecord]:
+        tr, idx = self._trace, np.asarray(rows, dtype=np.intp)
+        columns = [getattr(tr, h)[idx].tolist() for h in TRACE_HEADER]
+        columns[1] = [None if math.isnan(v) else v for v in columns[1]]
+        zh = [None] * len(idx) if tr.zeta_v_hat_inst is None else tr.zeta_v_hat_inst[idx].tolist()
+        columns += [tr.xbar[idx], tr.ybar[idx], zh]
+        return starmap(TraceRecord, zip(*columns))
 
 
 def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -457,32 +511,22 @@ class _Tally:
         problem, coord = self.problem, self.stepper.coord
         gx, gy, zv, zu, zh = (np.concatenate(s) for s in self.series)
         xbar, ybar, cx, cy, mx, my = (np.concatenate(c) for c in self.columns)
-        n_rec = len(self.ks)
-        gphi = (grad_phi_sq(problem, xbar).tolist()
-                if self.cfg.projection.kind == "all" else [None] * n_rec)
-        gxf = grad_xf_sq(problem, xbar, ybar).tolist()
-        # a record at iteration k > 0 reports the stepsizes applied at k - 1
         ks = np.array(self.ks)
+        gphi = (grad_phi_sq(problem, xbar) if self.cfg.projection.kind == "all"
+                else np.full(len(ks), np.nan))
+        # a record at iteration k > 0 reports the stepsizes applied at k - 1
         later = ks > 0
         i = ks[later] - 1
-        z = np.zeros((5, n_rec))
+        z = np.zeros((5 if coord else 4, len(ks)))
         z[:4, later] = (zv[i], np.maximum.accumulate(zv)[i], zu[i], np.maximum.accumulate(zu)[i])
         if coord:
             z[4, later] = zh[i]
-        zvi, zvs, zui, zus, zhi = z.tolist()
-        records = [
-            TraceRecord(
-                k=k, grad_phi_sq=gphi[t], grad_xf_sq=gxf[t], consensus_x=cxt, consensus_y=cyt,
-                zeta_v_inst=zvi[t], zeta_v_sup=zvs[t], zeta_u_inst=zui[t], zeta_u_sup=zus[t],
-                avg_m_x=mxt, avg_m_y=myt, xbar=xbar[t], ybar=ybar[t],
-                zeta_v_hat_inst=zhi[t] if coord else None,
-            )
-            for t, (k, cxt, cyt, mxt, myt) in enumerate(
-                zip(self.ks, cx.tolist(), cy.tolist(), mx.tolist(), my.tolist())
-            )
-        ]
         return Trace(
-            records=records,
+            k=ks, grad_phi_sq=gphi, grad_xf_sq=grad_xf_sq(problem, xbar, ybar),
+            consensus_x=cx, consensus_y=cy,
+            zeta_v_inst=z[0], zeta_v_sup=z[1], zeta_u_inst=z[2], zeta_u_sup=z[3],
+            avg_m_x=mx, avg_m_y=my, xbar=xbar, ybar=ybar,
+            zeta_v_hat_inst=z[4] if coord else None,
             zeta_v_series=zv,
             zeta_u_series=zu,
             zeta_v_hat_series=zh if coord else None,

@@ -22,6 +22,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from .algorithms import ALGORITHMS, AlgoConfig
 from .errors import ConfigError
 from .harness import RunConfig, counterexample_report, run_experiment
@@ -254,6 +256,10 @@ def cmd_sweep(argv: list[str]) -> int:
     parser.add_argument("--summary", default="sweep.csv", help="summary CSV (under out-dir)")
     args = _apply_config_file(parser, argv)
 
+    # the counterexample's exponents are its instance's: --ce-alpha / --ce-beta
+    ce = args.experiment == "counterexample"
+    if ce:
+        args.alpha, args.beta = args.ce_alpha, args.ce_beta
     gx_grid = _csv_floats(args.gamma_x_grid) if args.gamma_x_grid else [args.gamma_x]
     gy_grid = _csv_floats(args.gamma_y_grid) if args.gamma_y_grid else [args.gamma_y]
     al_grid = _csv_floats(args.alpha_grid) if args.alpha_grid else [args.alpha]
@@ -265,22 +271,19 @@ def cmd_sweep(argv: list[str]) -> int:
     base_out = Path(args.out_dir) if args.out_dir else Path("runs/sweep")
     for gx, gy, al, be in product(gx_grid, gy_grid, al_grid, be_grid):
         args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
+        if ce:
+            args.ce_alpha, args.ce_beta = al, be
         cfg = _run_config_from_args(args)
         cfg.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
         result = run_experiment(cfg)
         any_abort = any_abort or result.any_aborted
         for label, trace in result.traces.items():
-            final = trace.records[-1]
-            gphi = final.grad_phi_sq
-            hit = -1
-            for rec in trace.records:
-                if rec.grad_phi_sq is not None and rec.grad_phi_sq <= args.threshold:
-                    hit = rec.k
-                    break
+            hits = np.flatnonzero(trace.grad_phi_sq <= args.threshold)
+            hit = trace.k[hits[0]] if hits.size else -1
             rows.append(
                 f"{gx},{gy},{al},{be},{label},"
-                f"{'nan' if gphi is None else format(gphi, '.17g')},"
-                f"{format(final.zeta_v_sup, '.17g')},{hit},{int(trace.aborted)}"
+                f"{trace.grad_phi_sq[-1].item():.17g},"
+                f"{trace.zeta_v_sup[-1].item():.17g},{hit},{int(trace.aborted)}"
             )
     base_out.mkdir(parents=True, exist_ok=True)
     (base_out / args.summary).write_text("\n".join(rows) + "\n")

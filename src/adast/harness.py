@@ -11,9 +11,7 @@ floats printed to 17 significant digits so parsing them back is exact.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +20,7 @@ import numpy as np
 from . import __version__
 from .algorithms import AlgoConfig, Trace, run
 from .errors import ConfigError
-from .metrics import TraceRecord
+from .metrics import TRACE_HEADER
 from .problems import (
     GradientStream,
     NoiseModel,
@@ -41,24 +39,9 @@ __all__ = [
     "write_trace",
     "read_trace",
     "TRACE_HEADER",
-    "worker_count",
 ]
 
 EXPERIMENTS = ("case-study", "counterexample", "synthetic", "custom")
-
-TRACE_HEADER = [
-    "k",
-    "grad_phi_sq",
-    "grad_xf_sq",
-    "consensus_x",
-    "consensus_y",
-    "zeta_v_inst",
-    "zeta_v_sup",
-    "zeta_u_inst",
-    "zeta_u_sup",
-    "avg_m_x",
-    "avg_m_y",
-]
 
 
 @dataclass
@@ -120,20 +103,6 @@ class ExperimentResult:
     @property
     def any_aborted(self) -> bool:
         return any(t.aborted for t in self.traces.values())
-
-
-def worker_count(n_jobs: int) -> int:
-    """Worker cap from ADAST_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("ADAST_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ADAST_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ConfigError("ADAST_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
 
 
 def _spread_init(base: float, spread: float, n: int) -> np.ndarray:
@@ -222,41 +191,16 @@ def _prepare(cfg: RunConfig) -> PreparedExperiment:
     )
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return "nan"
-    return format(float(v), ".17g")
-
-
-def write_trace(records: list[TraceRecord], path: Path | str) -> None:
-    """CSV with the fixed metric header followed by xbar/ybar coordinates."""
-    path = Path(path)
-    lines = []
-    if records:
-        p = len(records[0].xbar)
-        d = len(records[0].ybar)
-    else:
-        p = d = 0
+def write_trace(trace: Trace, path: Path | str) -> None:
+    """CSV with the fixed metric header followed by xbar/ybar coordinates;
+    floats at 17 significant digits, NaN as ``nan``."""
+    p, d = trace.xbar.shape[1], trace.ybar.shape[1]
     header = TRACE_HEADER + [f"xbar_{j}" for j in range(p)] + [f"ybar_{j}" for j in range(d)]
-    lines.append(",".join(header))
-    for r in records:
-        row = [
-            str(r.k),
-            _fmt(r.grad_phi_sq),
-            _fmt(r.grad_xf_sq),
-            _fmt(r.consensus_x),
-            _fmt(r.consensus_y),
-            _fmt(r.zeta_v_inst),
-            _fmt(r.zeta_v_sup),
-            _fmt(r.zeta_u_inst),
-            _fmt(r.zeta_u_sup),
-            _fmt(r.avg_m_x),
-            _fmt(r.avg_m_y),
-        ]
-        row += [_fmt(v) for v in r.xbar]
-        row += [_fmt(v) for v in r.ybar]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [getattr(trace, h) for h in TRACE_HEADER] + list(trace.xbar.T) + list(trace.ybar.T)
+    line = "{}" + ",{:.17g}" * (len(columns) - 1) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(map(line.format, *(c.tolist() for c in columns)))
 
 
 def read_trace(path: Path | str) -> dict[str, np.ndarray]:
@@ -304,10 +248,7 @@ def _gnuplot_script(algo_files: dict[str, str]) -> str:
 
 
 def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
-    """Run all algorithm configs of an experiment and persist artifacts.
-
-    Independent configs run on a thread pool capped by ADAST_THREADS.
-    """
+    """Run all algorithm configs of an experiment and persist artifacts."""
     prepared = _prepare(cfg)
     problem, wm = prepared.problem, prepared.weights
 
@@ -322,8 +263,8 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
             seen[label] = 0
         labels.append(label)
 
-    def _run_one(ac: AlgoConfig) -> Trace:
-        return run(
+    trace_map = {
+        label: run(
             problem,
             wm.W,
             ac,
@@ -333,15 +274,8 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
             seed=cfg.seed,
             trace_stride=cfg.trace_stride,
         )
-
-    n_jobs = len(cfg.algo_configs)
-    workers = worker_count(n_jobs)
-    if workers > 1 and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_one, cfg.algo_configs))
-    else:
-        traces = [_run_one(ac) for ac in cfg.algo_configs]
-    trace_map = dict(zip(labels, traces))
+        for label, ac in zip(labels, cfg.algo_configs)
+    }
 
     validation = validate_doubly_stochastic(wm.W)
     manifest = {
@@ -380,7 +314,7 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
     if write and out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for label, trace in trace_map.items():
-            write_trace(trace.records, out_dir / f"trace_{label}.csv")
+            write_trace(trace, out_dir / f"trace_{label}.csv")
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         (out_dir / "plots.gp").write_text(
             _gnuplot_script({label: f"trace_{label}.csv" for label in labels})
@@ -413,10 +347,6 @@ def counterexample_report(
     X0 = np.full((3, 1), float(x0))
     Y0 = np.full((3, 1), slope * float(x0))
 
-    def grad_norms(rec) -> tuple[float, float]:
-        gy = problem.grad_y_avg(rec.xbar, rec.ybar)
-        return float(np.sqrt(rec.grad_xf_sq)), float(np.linalg.norm(gy))
-
     report: dict = {
         "alpha": alpha,
         "beta": beta,
@@ -437,16 +367,13 @@ def counterexample_report(
             problem, np.full((3, 3), 1.0 / 3.0), ac, NoiseModel.none(),
             x0=X0, y0=Y0, seed=seed, trace_stride=1,
         )
-        norms = [grad_norms(r) for r in trace.records]
-        gx0, gy0 = norms[0]
-        drift_x = max(abs(gx - gx0) / gx0 for gx, _ in norms)
-        drift_y = max(abs(gy - gy0) / gy0 for _, gy in norms)
-        gx_end, gy_end = norms[-1]
+        gx = np.sqrt(trace.grad_xf_sq)
+        gy = np.linalg.norm(problem.grad_y_avg(trace.xbar, trace.ybar), axis=1)
         report[algo] = {
-            "max_rel_drift_grad_x": drift_x,
-            "max_rel_drift_grad_y": drift_y,
-            "final_over_initial_grad_x": gx_end / gx0,
-            "final_over_initial_grad_y": gy_end / gy0,
+            "max_rel_drift_grad_x": float(np.max(np.abs(gx - gx[0]) / gx[0])),
+            "max_rel_drift_grad_y": float(np.max(np.abs(gy - gy[0]) / gy[0])),
+            "final_over_initial_grad_x": float(gx[-1] / gx[0]),
+            "final_over_initial_grad_y": float(gy[-1] / gy[0]),
             "aborted": trace.aborted,
         }
     return report

@@ -23,6 +23,7 @@ from .errors import ConfigError
 from .problems import QuadraticMinimaxProblem
 
 __all__ = [
+    "TRACE_HEADER",
     "TraceRecord",
     "Line",
     "CASE_STUDY_LINE",
@@ -35,6 +36,22 @@ __all__ = [
     "zeta_series",
     "zeta_hat_series",
     "distance_to_line",
+]
+
+
+# The leading trace CSV columns: the iteration, then the record metrics.
+TRACE_HEADER = [
+    "k",
+    "grad_phi_sq",
+    "grad_xf_sq",
+    "consensus_x",
+    "consensus_y",
+    "zeta_v_inst",
+    "zeta_v_sup",
+    "zeta_u_inst",
+    "zeta_u_sup",
+    "avg_m_x",
+    "avg_m_y",
 ]
 
 

@@ -231,19 +231,27 @@ class QuadraticMinimaxProblem:
     def f_avg(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean([l.value(x, y) for l in self.locals]))
 
-    def grad_x_avg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """grad_x of the averaged objective at (x, y), or at each row pair
-        of the stacks x (R, p), y (R, d)."""
+    def _row_pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """x and y as stacks (R, p), (R, d), and whether they were given as such."""
         X, stacked = _as_rows(x, self.p, "x")
         Y, _ = _as_rows(y, self.d, "y")
         if len(X) != len(Y):
             raise ConfigError(f"x and y stacks differ in length: {len(X)} vs {len(Y)}")
+        return X, Y, stacked
+
+    def grad_x_avg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """grad_x of the averaged objective at (x, y), or at each row pair
+        of the stacks x (R, p), y (R, d)."""
+        X, Y, stacked = self._row_pairs(x, y)
         G = _matvec_rows(self.A_bar, Y) - _matvec_rows(self.C_bar, X) + self.b_bar
         return G if stacked else G[0]
 
     def grad_y_avg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x, y = self._check_point(x, y)
-        return -self.B_bar @ y + self.A_bar.T @ x + self.c_bar
+        """grad_y of the averaged objective at (x, y), or at each row pair
+        of the stacks x (R, p), y (R, d)."""
+        X, Y, stacked = self._row_pairs(x, y)
+        G = _matvec_rows(self.A_bar.T, X) - _matvec_rows(self.B_bar, Y) + self.c_bar
+        return G if stacked else G[0]
 
     def y_star(self, x: np.ndarray, projection: "ProjectionSet | None" = None) -> np.ndarray:
         """Best response of the averaged objective; closed form needs an

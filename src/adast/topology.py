@@ -82,9 +82,6 @@ class Graph:
     def in_degree(self, i: int) -> int:
         return len(self.recv[i])
 
-    def out_degree(self, j: int) -> int:
-        return sum(1 for i in range(self.n) if j in self.recv[i])
-
     def is_symmetric(self) -> bool:
         sets = [set(r) for r in self.recv]
         return all(i in sets[j] for i in range(self.n) for j in sets[i])

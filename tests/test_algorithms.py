@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from adast.algorithms import (
     run,
 )
 from adast.errors import ConfigError
+from adast.metrics import TRACE_HEADER, TraceRecord
 from adast.problems import (
+    ALL,
     NoiseModel,
     ProjectionSet,
     QuadraticLocal,
@@ -444,6 +448,61 @@ def test_run_abort_on_divergence():
     assert trace.abort.k <= 20_000
     assert trace.abort.field in ("X", "Y", "Mx", "My")
     assert trace.records[-1].k < trace.abort.k + 100
+
+
+@pytest.mark.parametrize("algo, projection", [
+    ("d-adast", ALL),
+    ("d-adast-coord", ALL),
+    ("d-adast", ProjectionSet(kind="box", lo=[-0.2, -0.2], hi=[0.2, 0.2])),
+])
+def test_records_view_matches_columns(algo, projection):
+    prob = make_random_problem(n=4, p=2, d=2, seed=3)
+    W = weights_for(GraphSpec(n=4, kind=GraphKind.RING)).W
+    cfg = AlgoConfig(algo=algo, gamma_x=0.05, gamma_y=0.05, K=60, projection=projection)
+    trace = run(prob, W, cfg, NoiseModel.gaussian(0.2), x0=0.5, y0=0.1, seed=4, trace_stride=7)
+    coord, projected = algo == "d-adast-coord", projection.kind != "all"
+    R = 10  # k = 0, 7, ..., 56 and the final 60
+    assert trace.k.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
+    assert trace.xbar.shape == (R, 2) and trace.ybar.shape == (R, 2)
+    assert len(trace.records) == R
+    for t, rec in enumerate(trace.records):
+        assert isinstance(rec, TraceRecord)
+        assert type(rec.k) is int and rec.k == trace.k[t]
+        for h in TRACE_HEADER[2:]:
+            assert getattr(trace, h).shape == (R,)
+            assert type(getattr(rec, h)) is float and getattr(rec, h) == getattr(trace, h)[t]
+        if projected:
+            assert rec.grad_phi_sq is None and np.isnan(trace.grad_phi_sq[t])
+        else:
+            assert type(rec.grad_phi_sq) is float and rec.grad_phi_sq == trace.grad_phi_sq[t]
+        if coord:
+            assert rec.zeta_v_hat_inst == trace.zeta_v_hat_inst[t]
+        else:
+            assert rec.zeta_v_hat_inst is None and trace.zeta_v_hat_inst is None
+        assert np.array_equal(rec.xbar, trace.xbar[t]) and np.array_equal(rec.ybar, trace.ybar[t])
+    assert trace.records[-1].k == 60 and trace.records[-R].k == 0
+    assert [r.k for r in trace.records[1:3]] == [7, 14]
+    assert (projected or trace.grad_phi_sq[1] > 0) and trace.zeta_v_inst[1] > 0
+    assert not hasattr(trace.records, "__setitem__")
+    with pytest.raises(IndexError):
+        trace.records[R]
+
+
+def test_stride_one_records_retain_little_memory():
+    """Records are columns: a stride-1 trace of an n = 3 run with K = 2e4
+    holds about 17 doubles per record and 4 per iteration, 2.6 MiB."""
+    problem, slope = make_counterexample(0.75, 0.25)
+    cfg = AlgoConfig(algo="d-adast", gamma_x=1.0, gamma_y=1.0, alpha=0.75, beta=0.25, c0=0.0,
+                     K=20_000)
+    tracemalloc.start()
+    try:
+        trace = run(problem, np.full((3, 3), 1.0 / 3.0), cfg, x0=10.0, y0=slope * 10.0,
+                    trace_stride=1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 20_002
+    assert retained < 5 * 2**20, f"{retained / 2**20:.1f} MiB retained"
 
 
 @pytest.mark.parametrize("chunk_iters", [1, 7])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from adast.algorithms import AlgoConfig
+from adast.algorithms import AlgoConfig, Trace
 from adast.cli import main as cli_main
 from adast.errors import ConfigError
 from adast.harness import (
@@ -13,10 +13,9 @@ from adast.harness import (
     counterexample_report,
     read_trace,
     run_experiment,
-    worker_count,
     write_trace,
 )
-from adast.metrics import TraceRecord
+from adast.metrics import TRACE_HEADER
 from adast.problems import GradientStream, NoiseModel, QuadraticMinimaxProblem
 from adast.topology import GraphKind, GraphSpec, weights_for
 
@@ -34,20 +33,36 @@ def _mini_case_study(K=50, stride=10, out_dir=None, algos=("d-sgda", "d-tiada", 
 
 # ----------------------------------------------------------------- trace CSV
 
+def _columnar_trace(rows: list[dict], p: int, d: int) -> Trace:
+    """A Trace holding the given record rows (TRACE_HEADER metrics plus
+    xbar and ybar), with empty per-iteration series."""
+    empty = np.zeros(0)
+    return Trace(
+        **{h: np.array([r[h] for r in rows], dtype=int if h == "k" else float)
+           for h in TRACE_HEADER},
+        xbar=np.array([r["xbar"] for r in rows]).reshape(-1, p),
+        ybar=np.array([r["ybar"] for r in rows]).reshape(-1, d),
+        zeta_v_hat_inst=None, zeta_v_series=empty, zeta_u_series=empty,
+        zeta_v_hat_series=None, gsum_x_series=empty, gsum_y_series=empty,
+        abort=None, final_state=None,
+    )
+
+
 def test_write_trace_empty(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace([], path)
+    write_trace(_columnar_trace([], p=2, d=1), path)
     assert path.read_text().strip().count("\n") == 0  # header only
 
 
 def test_trace_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
-    records = []
+    rows = []
     for k in range(5):
-        records.append(
-            TraceRecord(
+        rows.append(
+            dict(
                 k=k,
-                grad_phi_sq=None if k == 2 else float(rng.uniform() * 10.0 ** rng.integers(-8, 8)),
+                grad_phi_sq=(math.nan if k == 2
+                             else float(rng.uniform() * 10.0 ** rng.integers(-8, 8))),
                 grad_xf_sq=float(rng.uniform()),
                 consensus_x=float(rng.uniform()),
                 consensus_y=float(rng.uniform()),
@@ -61,8 +76,10 @@ def test_trace_round_trip_exact(tmp_path):
                 ybar=rng.standard_normal(1),
             )
         )
+    trace = _columnar_trace(rows, p=2, d=1)
+    records = trace.records
     path = tmp_path / "trace.csv"
-    write_trace(records, path)
+    write_trace(trace, path)
     cols = read_trace(path)
     for i, r in enumerate(records):
         assert cols["k"][i] == r.k
@@ -186,30 +203,6 @@ def test_counterexample_report_shape():
         counterexample_report(0.75, 0.25, 0.0, K=10)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("ADAST_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("ADAST_THREADS", "0")
-    assert worker_count(3) >= 1
-    monkeypatch.setenv("ADAST_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        worker_count(2)
-    monkeypatch.delenv("ADAST_THREADS")
-    assert worker_count(1) == 1
-
-
-def test_parallel_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("ADAST_THREADS", "3")
-    r_par = run_experiment(_mini_case_study(out_dir=None), write=False)
-    monkeypatch.setenv("ADAST_THREADS", "1")
-    r_ser = run_experiment(_mini_case_study(out_dir=None), write=False)
-    for label in r_par.traces:
-        f1 = r_par.traces[label].records[-1]
-        f2 = r_ser.traces[label].records[-1]
-        assert np.array_equal(f1.xbar, f2.xbar)
-        assert f1.avg_m_x == f2.avg_m_x
-
-
 # ----------------------------------------------------------------------- CLI
 
 def test_cli_spectral(capsys):
@@ -320,6 +313,33 @@ def test_cli_sweep_single_cell_matches_run(tmp_path, capsys):
         write=False,
     )
     assert float(cell[5]) == direct.traces["d-adast"].records[-1].grad_phi_sq
+
+
+def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = cli_main([
+        "sweep", "--experiment", "counterexample", "--algos", "d-tiada,d-adast",
+        "--K", "200", "--trace-stride", "50", "--out-dir", str(out),
+        "--alpha-grid", "0.6,0.9",
+    ])
+    assert rc == 0
+    summary = (out / "sweep.csv").read_text().strip().splitlines()
+    rows = [line.split(",") for line in summary[1:]]
+    assert [(r[2], r[3], r[4]) for r in rows] == [
+        ("0.6", "0.25", "d-tiada"), ("0.6", "0.25", "d-adast"),
+        ("0.9", "0.25", "d-tiada"), ("0.9", "0.25", "d-adast"),
+    ]
+    manifests = {}
+    for r in rows:
+        cell = out / f"gx{r[0]}_gy{r[1]}_a{r[2]}_b{r[3]}"
+        manifests[r[2]] = (cell / "manifest.json").read_text()
+        ran = json.loads(manifests[r[2]])["algorithms"][r[4]]
+        assert (ran["alpha"], ran["beta"]) == (float(r[2]), float(r[3]))
+    strip = [json.loads(m) for m in manifests.values()]
+    for m in strip:
+        m.pop("timestamp")
+    assert strip[0]["problem"] != strip[1]["problem"]
+    assert rows[0][5:] != rows[2][5:]
 
 
 def test_cli_sweep_empty_grid(tmp_path):
