@@ -15,7 +15,6 @@ from .algorithms import (  # noqa: F401
     AlgoConfig,
     RunState,
     Trace,
-    centralized_tiada,
     mix,
     run,
 )
@@ -23,19 +22,12 @@ from .errors import (  # noqa: F401
     ConfigError,
     GraphConnectivityError,
     InvalidGraphError,
-    UnsupportedConfigError,
 )
 from .metrics import (  # noqa: F401
-    CASE_STUDY_LINE,
-    Line,
     TraceRecord,
     consensus_error,
-    distance_to_line,
     grad_phi_sq,
     grad_xf_sq,
-    inconsistency_u,
-    inconsistency_v,
-    zeta_hat,
 )
 from .problems import (  # noqa: F401
     ALL,
@@ -48,8 +40,6 @@ from .problems import (  # noqa: F401
     make_synthetic,
     make_two_node_case_study,
     project,
-    sample_grad,
-    sample_grads,
 )
 from .topology import (  # noqa: F401
     Graph,
@@ -61,7 +51,6 @@ from .topology import (  # noqa: F401
     is_connected,
     metropolis_weights,
     spectral_rho,
-    svd_rho,
     uniform_out_weights,
     validate_doubly_stochastic,
     weights_for,

@@ -52,7 +52,6 @@ __all__ = [
     "AbortInfo",
     "Trace",
     "run",
-    "centralized_tiada",
     "mix",
 ]
 
@@ -99,14 +98,6 @@ class AlgoConfig:
             raise ConfigError(
                 f"adaptive exponents need 0 < beta < alpha < 1, got alpha={self.alpha}, "
                 f"beta={self.beta}"
-            )
-
-    def require_counterexample_range(self) -> None:
-        """Tighter exponent window demanded by the non-convergence construction."""
-        if not (0.0 < self.beta < 0.5 < self.alpha < 1.0):
-            raise ConfigError(
-                f"counterexample mode needs 0 < beta < 0.5 < alpha < 1, got "
-                f"alpha={self.alpha}, beta={self.beta}"
             )
 
     def to_dict(self) -> dict:
@@ -421,18 +412,6 @@ class _Stepper:
             np.maximum(mx, my, out=D[:, :self.p])
 
 
-def _step(
-    state: RunState,
-    GX: np.ndarray,
-    GY: np.ndarray,
-    W: np.ndarray,
-    cfg: AlgoConfig,
-) -> None:
-    """Advance one iteration in place, exactly as the run loop does."""
-    stepper = _Stepper(state, W, cfg)
-    stepper.step(np.concatenate([GX, GY], axis=1), np.empty((state.n, stepper.width)))
-
-
 def _find_nonfinite(state: RunState) -> tuple[int, str]:
     """The field, in the order X, Y, Mx, My, and its first node holding a
     non-finite entry; the state must hold one."""
@@ -604,35 +583,3 @@ def run(
             ks.append(K)
         tally.flush(j, r)
         return tally.trace(state, abort)
-
-
-def centralized_tiada(
-    problem: QuadraticMinimaxProblem,
-    cfg: AlgoConfig,
-    noise: NoiseModel = NoiseModel.none(),
-    *,
-    x0=None,
-    y0=None,
-    seed: int = 0,
-    trace_stride: int = 1,
-) -> Trace:
-    """Single-node baseline: the network collapses to W = [1] and the
-    tracking algorithms coincide with their centralized counterpart.
-
-    The problem must already be a one-node instance (use
-    ``problem.averaged()`` to collapse a finite-sum instance first).
-    """
-    if problem.n != 1:
-        raise ConfigError(
-            "centralized baseline needs a single-node problem; call problem.averaged()"
-        )
-    return run(
-        problem,
-        np.ones((1, 1)),
-        cfg,
-        noise,
-        x0=x0,
-        y0=y0,
-        seed=seed,
-        trace_stride=trace_stride,
-    )

@@ -163,8 +163,6 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--init-x", type=float, default=None)
     sp.add_argument("--init-y", type=float, default=None)
     sp.add_argument("--init-spread", type=float, default=0.0)
-    sp.add_argument("--ce-alpha", type=float, default=0.75)
-    sp.add_argument("--ce-beta", type=float, default=0.25)
     sp.add_argument("--ce-x0", type=float, default=10.0)
     sp.add_argument("--L-low", type=float, default=1.5)
     sp.add_argument("--L-high", type=float, default=2.5)
@@ -180,8 +178,6 @@ def _run_config_from_args(args) -> RunConfig:
         )
     else:
         noise = _noise_from_args(args)
-    if args.experiment == "counterexample":
-        args.alpha, args.beta = args.ce_alpha, args.ce_beta
     return RunConfig(
         experiment=args.experiment,
         algo_configs=_algo_configs_from_args(args),
@@ -193,8 +189,6 @@ def _run_config_from_args(args) -> RunConfig:
         init_x=args.init_x,
         init_y=args.init_y,
         init_spread=args.init_spread,
-        ce_alpha=args.ce_alpha,
-        ce_beta=args.ce_beta,
         ce_x0=args.ce_x0,
         n=args.n,
         L_low=args.L_low,
@@ -256,10 +250,6 @@ def cmd_sweep(argv: list[str]) -> int:
     parser.add_argument("--summary", default="sweep.csv", help="summary CSV (under out-dir)")
     args = _apply_config_file(parser, argv)
 
-    # the counterexample's exponents are its instance's: --ce-alpha / --ce-beta
-    ce = args.experiment == "counterexample"
-    if ce:
-        args.alpha, args.beta = args.ce_alpha, args.ce_beta
     gx_grid = _csv_floats(args.gamma_x_grid) if args.gamma_x_grid else [args.gamma_x]
     gy_grid = _csv_floats(args.gamma_y_grid) if args.gamma_y_grid else [args.gamma_y]
     al_grid = _csv_floats(args.alpha_grid) if args.alpha_grid else [args.alpha]
@@ -271,8 +261,6 @@ def cmd_sweep(argv: list[str]) -> int:
     base_out = Path(args.out_dir) if args.out_dir else Path("runs/sweep")
     for gx, gy, al, be in product(gx_grid, gy_grid, al_grid, be_grid):
         args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
-        if ce:
-            args.ce_alpha, args.ce_beta = al, be
         cfg = _run_config_from_args(args)
         cfg.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
         result = run_experiment(cfg)

@@ -17,8 +17,3 @@ class GraphConnectivityError(ConfigError):
 
 class InvalidGraphError(ConfigError):
     """The graph violates a structural precondition (e.g. unequal out-degrees)."""
-
-
-class UnsupportedConfigError(ConfigError):
-    """A closed-form path was requested for a configuration it does not cover."""
-

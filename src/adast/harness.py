@@ -37,7 +37,6 @@ __all__ = [
     "run_experiment",
     "counterexample_report",
     "write_trace",
-    "read_trace",
     "TRACE_HEADER",
 ]
 
@@ -59,9 +58,7 @@ class RunConfig:
     init_x: float | None = None
     init_y: float | None = None
     init_spread: float = 0.0
-    # counterexample parameters
-    ce_alpha: float = 0.75
-    ce_beta: float = 0.25
+    # counterexample start: all nodes at (ce_x0, slope * ce_x0)
     ce_x0: float = 10.0
     # synthetic parameters
     n: int | None = None
@@ -95,7 +92,6 @@ class PreparedExperiment:
 @dataclass
 class ExperimentResult:
     config: RunConfig
-    prepared: PreparedExperiment
     traces: dict[str, Trace]
     manifest: dict
     out_dir: Path | None
@@ -123,18 +119,18 @@ def _prepare(cfg: RunConfig) -> PreparedExperiment:
         note = f"x_i = {base_x} + {spread}*i, y_i = {base_y} + {spread}*i"
         noise = cfg.noise
     elif cfg.experiment == "counterexample":
-        for ac in cfg.algo_configs:
-            if ac.algo != "d-sgda":
-                ac.require_counterexample_range()
-                if (ac.alpha, ac.beta) != (cfg.ce_alpha, cfg.ce_beta):
-                    raise ConfigError(
-                        "counterexample instance and algorithm exponents must match: "
-                        f"instance ({cfg.ce_alpha}, {cfg.ce_beta}) vs "
-                        f"config ({ac.alpha}, {ac.beta})"
-                    )
+        # The instance is built for the adaptive methods' exponents (d-sgda
+        # has none), so one run can hold only one pair.
+        adaptive = [ac for ac in cfg.algo_configs if ac.algo != "d-sgda"]
+        exponents = sorted({(ac.alpha, ac.beta) for ac in adaptive})
+        if len(exponents) > 1:
+            raise ConfigError(
+                f"counterexample methods need one exponent pair (alpha, beta), got {exponents}"
+            )
         if cfg.ce_x0 == 0.0:
             raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
-        problem, slope = make_counterexample(cfg.ce_alpha, cfg.ce_beta)
+        ac = (adaptive or cfg.algo_configs)[0]
+        problem, slope = make_counterexample(ac.alpha, ac.beta)
         # The frozen-iterates construction needs three nodes on a complete
         # graph with exact gradients.
         topo = GraphSpec(n=3, kind=GraphKind.COMPLETE)
@@ -201,17 +197,6 @@ def write_trace(trace: Trace, path: Path | str) -> None:
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         f.writelines(map(line.format, *(c.tolist() for c in columns)))
-
-
-def read_trace(path: Path | str) -> dict[str, np.ndarray]:
-    """Parse a trace CSV back into column arrays (floats round-trip exactly)."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    cols: dict[str, list[float]] = {h: [] for h in header}
-    for line in text[1:]:
-        for h, v in zip(header, line.split(",")):
-            cols[h].append(float(v))
-    return {h: np.asarray(v) for h, v in cols.items()}
 
 
 def _gnuplot_script(algo_files: dict[str, str]) -> str:
@@ -320,9 +305,7 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
             _gnuplot_script({label: f"trace_{label}.csv" for label in labels})
         )
 
-    return ExperimentResult(
-        config=cfg, prepared=prepared, traces=trace_map, manifest=manifest, out_dir=out_dir
-    )
+    return ExperimentResult(config=cfg, traces=trace_map, manifest=manifest, out_dir=out_dir)
 
 
 def counterexample_report(
@@ -362,7 +345,6 @@ def counterexample_report(
             algo=algo, gamma_x=gamma_x, gamma_y=gamma_y, alpha=alpha, beta=beta,
             c0=0.0, K=horizon,
         )
-        ac.require_counterexample_range()
         trace = run(
             problem, np.full((3, 3), 1.0 / 3.0), ac, NoiseModel.none(),
             x0=X0, y0=Y0, seed=seed, trace_stride=1,

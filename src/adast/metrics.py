@@ -19,23 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .problems import QuadraticMinimaxProblem
 
 __all__ = [
     "TRACE_HEADER",
     "TraceRecord",
-    "Line",
-    "CASE_STUDY_LINE",
     "grad_phi_sq",
     "grad_xf_sq",
     "consensus_error",
-    "inconsistency_v",
-    "inconsistency_u",
-    "zeta_hat",
     "zeta_series",
     "zeta_hat_series",
-    "distance_to_line",
 ]
 
 
@@ -80,29 +73,6 @@ class TraceRecord:
     zeta_v_hat_inst: float | None = None
 
 
-@dataclass(frozen=True)
-class Line:
-    """The line a*x + b*y + c = 0 in the scalar (p = d = 1) plane."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a == 0.0 and self.b == 0.0:
-            raise ConfigError("degenerate line: a and b cannot both be zero")
-
-
-# Stationary set of the two-node case study: 3y = 5x + 2.
-CASE_STUDY_LINE = Line(5.0, -3.0, 2.0)
-
-
-def distance_to_line(xbar: np.ndarray | float, ybar: np.ndarray | float, line: Line) -> float:
-    x = float(np.asarray(xbar).reshape(-1)[0])
-    y = float(np.asarray(ybar).reshape(-1)[0])
-    return abs(line.a * x + line.b * y + line.c) / float(np.hypot(line.a, line.b))
-
-
 def _sq_norms(G: np.ndarray) -> float | np.ndarray:
     """g @ g for a vector g; for each row g of a stack G (R, m), an (R,) array."""
     if G.ndim == 1:
@@ -141,28 +111,11 @@ def consensus_error(
     return dev_sq(X), dev_sq(Y)
 
 
-def inconsistency_v(v_values: np.ndarray, alpha: float) -> float:
-    """Per-iteration primal stepsize inconsistency.
-
-    v_values: (n,) applied denominators for scalar algorithms, or the
-    (n, p) denominator matrix for the coordinate-wise variant.
-    """
-    v_values = np.asarray(v_values, dtype=float)
-    if np.any(v_values <= 0):
-        raise ConfigError("stepsize denominators must be positive")
-    return float(zeta_series(v_values[None], alpha)[0])
-
-
-def inconsistency_u(u_values: np.ndarray, beta: float) -> float:
-    """Dual-side counterpart of inconsistency_v."""
-    return inconsistency_v(u_values, beta)
-
-
 def zeta_series(v_store: np.ndarray, expo: float) -> np.ndarray:
     """Vectorized per-iteration inconsistency over a whole run.
 
     v_store is (K, n) for scalar accumulators or (K, n, p) coordinate-wise;
-    each slice follows the same definitions as inconsistency_v.
+    each slice follows the definitions in the module docstring.
     """
     V = np.asarray(v_store, dtype=float)
     flat_axes = tuple(range(1, V.ndim))
@@ -179,20 +132,13 @@ def zeta_series(v_store: np.ndarray, expo: float) -> np.ndarray:
 
 
 def zeta_hat_series(v_store: np.ndarray, expo: float) -> np.ndarray:
-    """Vectorized zeta_hat over a whole run of (K, n, p) denominators."""
+    """Within-node cross-coordinate inconsistency of the coordinate-wise
+    variant over a whole run of (K, n, p) denominators: rows are compared
+    against their own row means, normalized by the flattened mean.  This
+    term does not vanish under tracking."""
     V = np.asarray(v_store, dtype=float)
     K, n, p = V.shape
     vbar_pow = V.mean(axis=(1, 2)) ** (-expo)
     row_mean_pow = V.mean(axis=2, keepdims=True) ** (-expo)
     dev = V ** (-expo) - row_mean_pow
     return (dev * dev).sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)
-
-
-def zeta_hat(v_matrix: np.ndarray, expo: float) -> float:
-    """Within-node cross-coordinate inconsistency of the coordinate-wise
-    variant: rows are compared against their own row means, normalized by
-    the flattened mean.  This term does not vanish under tracking."""
-    V = np.asarray(v_matrix, dtype=float)
-    if V.ndim != 2:
-        raise ConfigError("zeta_hat needs an (n, p) denominator matrix")
-    return float(zeta_hat_series(V[None], expo)[0])

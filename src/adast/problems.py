@@ -17,14 +17,13 @@ used as stationarity oracles when the dual domain is unconstrained.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import ConfigError, UnsupportedConfigError
+from .errors import ConfigError
 
 __all__ = [
     "QuadraticLocal",
@@ -36,8 +35,6 @@ __all__ = [
     "X_AXIS",
     "Y_AXIS",
     "project",
-    "sample_grad",
-    "sample_grads",
     "sample_grad_block",
     "make_two_node_case_study",
     "make_counterexample",
@@ -104,23 +101,6 @@ class QuadraticLocal:
     def d(self) -> int:
         return self.A.shape[1]
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = _as_vector(x, self.p, "x")
-        y = _as_vector(y, self.d, "y")
-        return float(
-            -0.5 * y @ self.B @ y + x @ self.A @ y - 0.5 * x @ self.C @ x + self.b @ x + self.c @ y
-        )
-
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, self.p, "x")
-        y = _as_vector(y, self.d, "y")
-        return self.A @ y - self.C @ x + self.b
-
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, self.p, "x")
-        y = _as_vector(y, self.d, "y")
-        return -self.B @ y + self.A.T @ x + self.c
-
 
 class QuadraticMinimaxProblem:
     """A finite-sum quadratic minimax instance over n nodes.
@@ -128,7 +108,7 @@ class QuadraticMinimaxProblem:
     Construction validates the strong-concavity assumption (every B_i
     and their average must be positive definite; Cholesky failure is a
     hard error) and caches stacked coefficients for vectorized gradient
-    evaluation plus the Cholesky factor of Bbar for y*(x).
+    evaluation plus the affine closed forms of y*(x) and grad Phi(x).
     """
 
     def __init__(self, locals_: list[QuadraticLocal] | tuple[QuadraticLocal, ...],
@@ -173,7 +153,7 @@ class QuadraticMinimaxProblem:
         self._r_stack = np.concatenate([self.b_stack, self.c_stack], axis=1)
 
         try:
-            self._B_bar_chol = np.linalg.cholesky(self.B_bar)
+            np.linalg.cholesky(self.B_bar)
             np.linalg.cholesky(self.B_stack)
         except LinAlgError as exc:
             raise ConfigError(
@@ -198,38 +178,12 @@ class QuadraticMinimaxProblem:
     def n(self) -> int:
         return len(self.locals)
 
-    def _check_point(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _as_vector(x, self.p, "x"), _as_vector(y, self.d, "y")
-
-    def grad_x(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise ConfigError(f"node index {i} out of range for n={self.n}")
-        x, y = self._check_point(x, y)
-        return self.locals[i].grad_x(x, y)
-
-    def grad_y(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise ConfigError(f"node index {i} out of range for n={self.n}")
-        x, y = self._check_point(x, y)
-        return self.locals[i].grad_y(x, y)
-
-    def grads_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-node gradients for stacked iterates X (n,p), Y (n,d)."""
-        G = self.grads_block(np.concatenate([X, Y], axis=1))
-        return G[:, : self.p], G[:, self.p:]
-
     def grads_block(self, XY: np.ndarray) -> np.ndarray:
         """Exact per-node gradients [grad_x | grad_y] (n, p+d) at the
         stacked iterate block XY = [X | Y]."""
         G = np.einsum("nij,nj->ni", self._M_stack, XY)
         G += self._r_stack
         return G
-
-    def f_local(self, i: int, x: np.ndarray, y: np.ndarray) -> float:
-        return self.locals[i].value(x, y)
-
-    def f_avg(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean([l.value(x, y) for l in self.locals]))
 
     def _row_pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         """x and y as stacks (R, p), (R, d), and whether they were given as such."""
@@ -253,28 +207,17 @@ class QuadraticMinimaxProblem:
         G = _matvec_rows(self.A_bar.T, X) - _matvec_rows(self.B_bar, Y) + self.c_bar
         return G if stacked else G[0]
 
-    def y_star(self, x: np.ndarray, projection: "ProjectionSet | None" = None) -> np.ndarray:
+    def y_star(self, x: np.ndarray) -> np.ndarray:
         """Best response of the averaged objective; closed form needs an
         unconstrained dual domain."""
-        if projection is not None and projection.kind != "all":
-            raise UnsupportedConfigError(
-                "closed-form best response requires an unconstrained dual domain"
-            )
         x = _as_vector(x, self.p, "x")
         return self._y_lin @ x + self._y_const
 
-    def grad_phi(self, x: np.ndarray, projection: "ProjectionSet | None" = None) -> np.ndarray:
+    def grad_phi(self, x: np.ndarray) -> np.ndarray:
         """grad Phi at x, or at each row of a stack x (R, p)."""
-        if projection is not None and projection.kind != "all":
-            raise UnsupportedConfigError(
-                "closed-form best response requires an unconstrained dual domain"
-            )
         X, stacked = _as_rows(x, self.p, "x")
         G = _matvec_rows(self._phi_lin, X) + self._phi_const
         return G if stacked else G[0]
-
-    def phi(self, x: np.ndarray) -> float:
-        return self.f_avg(x, self.y_star(x))
 
     def stationary_point(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Solve grad_phi(x) = 0 for the averaged objective.
@@ -334,9 +277,6 @@ class QuadraticMinimaxProblem:
             for l in doc["locals"]
         ]
         return cls(locals_, meta=doc.get("meta"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -509,11 +449,9 @@ class GradientStream:
 
 
 def _apply_noise(
-    G: np.ndarray, noise: NoiseModel, stream: GradientStream | None, k: int, axis: int
+    G: np.ndarray, noise: NoiseModel, stream: GradientStream, k: int, axis: int
 ) -> None:
     """Add (and clip) the noise of one axis in place; G is that axis's (n, dim) view."""
-    if stream is None:
-        raise ConfigError("noisy sampling needs a gradient stream")
     n, dim = G.shape
     G += noise.sigma * stream.normal_block(k, axis, n, dim)
     if noise.kind == "gaussian-clipped":
@@ -525,7 +463,7 @@ def sample_grad_block(
     problem: QuadraticMinimaxProblem,
     XY: np.ndarray,
     noise: NoiseModel,
-    stream: GradientStream | None,
+    stream: GradientStream,
     k: int,
 ) -> np.ndarray:
     """Stochastic gradients [GX | GY] (n, p+d) for all nodes at iteration k,
@@ -535,46 +473,6 @@ def sample_grad_block(
         _apply_noise(G[:, :problem.p], noise, stream, k, X_AXIS)
         _apply_noise(G[:, problem.p:], noise, stream, k, Y_AXIS)
     return G
-
-
-def sample_grads(
-    problem: QuadraticMinimaxProblem,
-    X: np.ndarray,
-    Y: np.ndarray,
-    noise: NoiseModel,
-    stream: GradientStream | None,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stochastic gradients for all nodes at iteration k."""
-    G = sample_grad_block(problem, np.concatenate([X, Y], axis=1), noise, stream, k)
-    return G[:, :problem.p], G[:, problem.p:]
-
-
-def sample_grad(
-    problem: QuadraticMinimaxProblem,
-    i: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    noise: NoiseModel,
-    stream: GradientStream | None,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-node stochastic gradient; its noise is row i of the
-    (problem.n, dim) block draw."""
-    gx = problem.grad_x(i, x, y)
-    gy = problem.grad_y(i, x, y)
-    if noise.kind == "none":
-        return gx, gy
-    if stream is None:
-        raise ConfigError("noisy sampling needs a gradient stream")
-    gx = gx + noise.sigma * stream.normal_block(k, X_AXIS, problem.n, problem.p)[i]
-    gy = gy + noise.sigma * stream.normal_block(k, Y_AXIS, problem.n, problem.d)[i]
-    if noise.kind == "gaussian-clipped":
-        for g in (gx, gy):
-            norm = np.linalg.norm(g)
-            if norm > noise.clip:
-                g *= noise.clip / norm
-    return gx, gy
 
 
 def make_two_node_case_study() -> QuadraticMinimaxProblem:

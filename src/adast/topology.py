@@ -32,7 +32,6 @@ __all__ = [
     "uniform_out_weights",
     "weights_for",
     "spectral_rho",
-    "svd_rho",
     "validate_doubly_stochastic",
     "is_connected",
 ]
@@ -78,9 +77,6 @@ class Graph:
 
     n: int
     recv: tuple[tuple[int, ...], ...]
-
-    def in_degree(self, i: int) -> int:
-        return len(self.recv[i])
 
     def is_symmetric(self) -> bool:
         sets = [set(r) for r in self.recv]
@@ -219,7 +215,7 @@ def uniform_out_weights(graph: Graph) -> WeightMatrix:
     Doubly stochastic provided every node has in-degree == out-degree == d.
     """
     n = graph.n
-    in_deg = [graph.in_degree(i) for i in range(n)]
+    in_deg = [len(r) for r in graph.recv]
     out_deg = [0] * n
     for i in range(n):
         for j in graph.recv[i]:
@@ -250,14 +246,6 @@ def weights_for(spec: GraphSpec) -> WeightMatrix:
     if spec.kind is GraphKind.CUSTOM:
         return metropolis_weights(graph) if graph.is_symmetric() else uniform_out_weights(graph)
     return metropolis_weights(graph)
-
-
-def svd_rho(W: np.ndarray) -> float:
-    """Dense-SVD evaluation of ||W - J||_2^2; the oracle route."""
-    n = W.shape[0]
-    J = np.full((n, n), 1.0 / n)
-    s = np.linalg.svd(W - J, compute_uv=False)
-    return float(s[0] ** 2)
 
 
 def spectral_rho(W: np.ndarray) -> float:

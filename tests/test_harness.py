@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -11,7 +12,6 @@ from adast.errors import ConfigError
 from adast.harness import (
     RunConfig,
     counterexample_report,
-    read_trace,
     run_experiment,
     write_trace,
 )
@@ -80,7 +80,9 @@ def test_trace_round_trip_exact(tmp_path):
     records = trace.records
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
-    cols = read_trace(path)
+    with open(path, newline="") as f:
+        parsed = list(csv.DictReader(f))
+    cols = {h: [float(row[h]) for row in parsed] for h in parsed[0]}
     for i, r in enumerate(records):
         assert cols["k"][i] == r.k
         if r.grad_phi_sq is None:
@@ -169,15 +171,17 @@ def test_synthetic_requires_n():
 
 
 def test_counterexample_invariants_enforced():
+    # one instance per run: the adaptive methods must share their exponents
     with pytest.raises(ConfigError):
         run_experiment(
             RunConfig(
                 experiment="counterexample",
                 algo_configs=[
                     AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
-                               alpha=0.6, beta=0.4, K=5)
+                               alpha=0.6, beta=0.4, K=5),
+                    AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1,
+                               alpha=0.75, beta=0.25, K=5),
                 ],
-                ce_alpha=0.75, ce_beta=0.25,  # mismatch with config exponents
             )
         )
     with pytest.raises(ConfigError):
@@ -188,9 +192,34 @@ def test_counterexample_invariants_enforced():
                     AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
                                alpha=0.75, beta=0.25, K=5)
                 ],
-                ce_alpha=0.75, ce_beta=0.25, ce_x0=0.0,
+                ce_x0=0.0,
             )
         )
+    # exponents outside the construction's window 0 < beta < 0.5 < alpha < 1
+    with pytest.raises(ConfigError):
+        run_experiment(
+            RunConfig(
+                experiment="counterexample",
+                algo_configs=[
+                    AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
+                               alpha=0.45, beta=0.3, K=5)
+                ],
+            )
+        )
+    # d-sgda has no exponents of its own and runs on the adaptive methods' instance
+    result = run_experiment(
+        RunConfig(
+            experiment="counterexample",
+            algo_configs=[
+                AlgoConfig(algo="d-sgda", gamma_x=0.1, gamma_y=0.1, alpha=0.1, beta=0.9, K=5),
+                AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
+                           alpha=0.75, beta=0.25, K=5),
+            ],
+        ),
+        write=False,
+    )
+    assert (result.manifest["problem"]["meta"]["alpha"],
+            result.manifest["problem"]["meta"]["beta"]) == (0.75, 0.25)
 
 
 def test_counterexample_report_shape():
@@ -320,7 +349,7 @@ def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):
     rc = cli_main([
         "sweep", "--experiment", "counterexample", "--algos", "d-tiada,d-adast",
         "--K", "200", "--trace-stride", "50", "--out-dir", str(out),
-        "--alpha-grid", "0.6,0.9",
+        "--alpha-grid", "0.6,0.9", "--beta", "0.25",
     ])
     assert rc == 0
     summary = (out / "sweep.csv").read_text().strip().splitlines()
@@ -340,6 +369,19 @@ def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):
         m.pop("timestamp")
     assert strip[0]["problem"] != strip[1]["problem"]
     assert rows[0][5:] != rows[2][5:]
+
+
+def test_cli_run_counterexample_runs_the_given_exponents(tmp_path, capsys):
+    out = tmp_path / "ce"
+    rc = cli_main([
+        "run", "--experiment", "counterexample", "--algos", "d-tiada",
+        "--alpha", "0.6", "--beta", "0.4", "--K", "10", "--out-dir", str(out),
+    ])
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["algorithms"]["d-tiada"]["alpha"] == 0.6
+    assert man["problem"]["meta"]["alpha"] == 0.6
+    assert man["algorithms"]["d-tiada"]["beta"] == man["problem"]["meta"]["beta"] == 0.4
 
 
 def test_cli_sweep_empty_grid(tmp_path):

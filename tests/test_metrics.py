@@ -6,43 +6,48 @@ import pytest
 from adast.algorithms import AlgoConfig, run
 from adast.errors import ConfigError
 from adast.metrics import (
-    CASE_STUDY_LINE,
-    Line,
     consensus_error,
-    distance_to_line,
     grad_phi_sq,
     grad_xf_sq,
-    inconsistency_u,
-    inconsistency_v,
-    zeta_hat,
+    zeta_hat_series,
+    zeta_series,
 )
 from adast.problems import NoiseModel, QuadraticLocal, QuadraticMinimaxProblem, \
     make_two_node_case_study
 from adast.topology import GraphKind, GraphSpec, weights_for
-from conftest import make_random_problem
+from conftest import make_random_problem, phi
+
+
+def _zeta(V, expo):
+    """The inconsistency of one iteration's denominators V: a one-row series."""
+    return zeta_series(np.asarray(V)[None], expo)[0]
+
+
+def _zeta_hat(V, expo):
+    return zeta_hat_series(np.asarray(V)[None], expo)[0]
 
 
 def test_inconsistency_all_equal_is_zero():
-    assert inconsistency_v(np.full(5, 3.7), 0.6) == 0.0
-    assert inconsistency_u(np.full(3, 0.2), 0.4) == 0.0
-    assert inconsistency_v(np.array([9.0]), 0.6) == 0.0  # n = 1
+    assert _zeta(np.full(5, 3.7), 0.6) == 0.0
+    assert _zeta(np.full(3, 0.2), 0.4) == 0.0
+    assert _zeta(np.array([9.0]), 0.6) == 0.0  # n = 1
 
 
 def test_inconsistency_two_node_example():
     # v = {1, 16}, alpha = 0.5: vbar = 8.5 and the max ratio is
     # (1 - 8.5^-0.5)^2 * 8.5 = 9.5 - 17/sqrt(8.5)
     expect = 9.5 - 17.0 / math.sqrt(8.5)
-    assert inconsistency_v(np.array([1.0, 16.0]), 0.5) == pytest.approx(expect, abs=1e-9)
+    assert _zeta(np.array([1.0, 16.0]), 0.5) == pytest.approx(expect, abs=1e-9)
 
 
 def test_inconsistency_u_mirrors_v():
-    vals = np.array([0.5, 2.0, 7.0])
-    assert inconsistency_u(vals, 0.37) == inconsistency_v(vals, 0.37)
-
-
-def test_inconsistency_requires_positive():
-    with pytest.raises(ConfigError):
-        inconsistency_v(np.array([1.0, 0.0]), 0.5)
+    # the run reduces the v and u denominators of a chunk with the same
+    # series at their own exponents; each row equals its one-row value
+    rng = np.random.default_rng(5)
+    V = rng.uniform(0.5, 7.0, size=(6, 3))
+    for expo in (0.37, 0.63):
+        series = zeta_series(V, expo)
+        assert [_zeta(v, expo) for v in V] == series.tolist()
 
 
 def test_coordinate_inconsistency_flattened_mean():
@@ -53,7 +58,7 @@ def test_coordinate_inconsistency_flattened_mean():
     dev0 = 1.0 ** -a - vbar
     dev1 = 4.0 ** -a - vbar
     expect = (dev0 * dev0 + dev1 * dev1) / (1 * 2 * vbar * vbar)
-    assert inconsistency_v(V, a) == pytest.approx(expect, rel=1e-12)
+    assert _zeta(V, a) == pytest.approx(expect, rel=1e-12)
 
 
 def test_zeta_hat_hand_example():
@@ -64,13 +69,13 @@ def test_zeta_hat_hand_example():
     dev0 = 1.0 ** -a - row
     dev1 = 4.0 ** -a - row
     expect = (dev0 * dev0 + dev1 * dev1) / (1 * 2 * vbar * vbar)
-    assert zeta_hat(V, a) == pytest.approx(expect, rel=1e-12)
+    assert _zeta_hat(V, a) == pytest.approx(expect, rel=1e-12)
     # consensual rows across nodes but spread within rows: zeta_hat persists
     V2 = np.tile(np.array([1.0, 4.0]), (6, 1))
-    assert zeta_hat(V2, a) == pytest.approx(zeta_hat(V, a), rel=1e-12)
+    assert _zeta_hat(V2, a) == pytest.approx(_zeta_hat(V, a), rel=1e-12)
     # equal coordinates within each row: zeta_hat vanishes
     V3 = np.array([[2.0, 2.0], [5.0, 5.0]])
-    assert zeta_hat(V3, a) == 0.0
+    assert _zeta_hat(V3, a) == 0.0
 
 
 def test_consensus_error_examples():
@@ -81,17 +86,6 @@ def test_consensus_error_examples():
     assert cx == pytest.approx(2.0)
     shifted = X2 + 17.3
     assert consensus_error(shifted, shifted)[0] == pytest.approx(2.0)
-
-
-def test_distance_to_line_examples():
-    assert distance_to_line([0.0], [2.0 / 3.0], CASE_STUDY_LINE) == pytest.approx(0.0)
-    assert distance_to_line([0.0], [0.0], CASE_STUDY_LINE) == pytest.approx(2 / math.sqrt(34))
-    doubled = Line(10.0, -6.0, 4.0)
-    assert distance_to_line([0.3], [-1.2], doubled) == pytest.approx(
-        distance_to_line([0.3], [-1.2], CASE_STUDY_LINE)
-    )
-    with pytest.raises(ConfigError):
-        Line(0.0, 0.0, 1.0)
 
 
 def test_grad_phi_sq_examples():
@@ -116,7 +110,7 @@ def test_grad_phi_sq_matches_finite_difference():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd[j] = (prob.phi(x + e) - prob.phi(x - e)) / (2 * h)
+        fd[j] = (phi(prob, x + e) - phi(prob, x - e)) / (2 * h)
     assert grad_phi_sq(prob, x) == pytest.approx(float(fd @ fd), rel=1e-6)
 
 

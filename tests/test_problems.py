@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from adast.errors import ConfigError, UnsupportedConfigError
+from adast.algorithms import AlgoConfig, run
+from adast.errors import ConfigError
 from adast.problems import (
     ALL,
     GradientStream,
@@ -16,26 +17,26 @@ from adast.problems import (
     make_synthetic,
     make_two_node_case_study,
     project,
-    sample_grad,
-    sample_grads,
+    sample_grad_block,
 )
-from conftest import make_random_problem
+from conftest import grads_at, local_grads, local_value, make_random_problem, node_sample, phi
 
 
 # ---------------------------------------------------------------- case study
 
 def test_case_study_gradients_at_origin():
     p = make_two_node_case_study()
-    assert p.grad_x(0, [0.0], [0.0]) == pytest.approx([-1.0])
-    assert p.grad_x(1, [0.0], [0.0]) == pytest.approx([-1.0])
-    assert p.grad_y(0, [0.0], [0.0]) == pytest.approx([0.6])
-    assert p.grad_y(0, [0.0], [2.0 / 3.0]) == pytest.approx([0.0], abs=1e-15)
+    G = grads_at(p, [0.0], [0.0])  # rows [grad_x f_i, grad_y f_i]
+    assert G[0, 0] == pytest.approx(-1.0)
+    assert G[1, 0] == pytest.approx(-1.0)
+    assert G[0, 1] == pytest.approx(0.6)
+    assert grads_at(p, [0.0], [2.0 / 3.0])[0, 1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_case_study_values_and_heterogeneity():
     p = make_two_node_case_study()
-    assert p.f_local(0, [1.0], [1.0]) == pytest.approx(-0.35)
-    assert p.f_local(1, [1.0], [1.0]) == pytest.approx(-0.85)
+    assert local_value(p.locals[0], [1.0], [1.0]) == pytest.approx(-0.35)
+    assert local_value(p.locals[1], [1.0], [1.0]) == pytest.approx(-0.85)
     assert p.mu == pytest.approx(0.9)
 
 
@@ -120,22 +121,26 @@ def test_make_synthetic_seeded():
 def test_trivial_gradients():
     z = QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0)
     p = QuadraticMinimaxProblem([z])
-    assert p.grad_x(0, [3.0], [5.0]) == pytest.approx([0.0])
+    assert grads_at(p, [3.0], [5.0])[0, :1] == pytest.approx([0.0])
     d = 3
     identity_B = QuadraticLocal(
         B=np.eye(d), A=np.zeros((2, d)), C=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(d)
     )
     p2 = QuadraticMinimaxProblem([identity_B])
     e1 = np.array([1.0, 0.0, 0.0])
-    assert p2.grad_y(0, np.zeros(2), e1) == pytest.approx(-e1)
+    assert grads_at(p2, np.zeros(2), e1)[0, 2:] == pytest.approx(-e1)
 
 
 def test_dimension_and_index_contracts():
     p = make_two_node_case_study()
     with pytest.raises(ConfigError):
-        p.grad_x(0, [0.0, 1.0], [0.0])
+        p.grad_x_avg([0.0, 1.0], [0.0])
     with pytest.raises(ConfigError):
-        p.grad_x(5, [0.0], [0.0])
+        p.y_star([0.0, 1.0])
+    # per-node initial iterates must have one row per node
+    cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=1)
+    with pytest.raises(ConfigError):
+        run(p, np.full((2, 2), 0.5), cfg, x0=np.zeros((5, 1)))
 
 
 def test_non_pd_B_rejected():
@@ -152,18 +157,18 @@ def test_finite_difference_gradients(seed):
     x = rng.standard_normal(2)
     y = rng.standard_normal(3)
     i = seed % prob.n
+    loc = prob.locals[i]
     h = 1e-5
-    gx = prob.grad_x(i, x, y)
-    gy = prob.grad_y(i, x, y)
+    gx, gy = np.split(grads_at(prob, x, y)[i], [2])
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd = (prob.f_local(i, x + e, y) - prob.f_local(i, x - e, y)) / (2 * h)
+        fd = (local_value(loc, x + e, y) - local_value(loc, x - e, y)) / (2 * h)
         assert fd == pytest.approx(gx[j], rel=1e-6, abs=1e-8)
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (prob.f_local(i, x, y + e) - prob.f_local(i, x, y - e)) / (2 * h)
+        fd = (local_value(loc, x, y + e) - local_value(loc, x, y - e)) / (2 * h)
         assert fd == pytest.approx(gy[j], rel=1e-6, abs=1e-8)
 
 
@@ -177,7 +182,7 @@ def test_danskin_gradient_of_primal_function(seed):
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (prob.phi(x + e) - prob.phi(x - e)) / (2 * h)
+        fd = (phi(prob, x + e) - phi(prob, x - e)) / (2 * h)
         assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-8)
 
 
@@ -190,8 +195,10 @@ def test_strong_concavity_inequality(seed):
         x = rng.standard_normal(2)
         y = rng.standard_normal(3)
         y2 = rng.standard_normal(3)
-        lhs = prob.f_local(i, x, y) - prob.f_local(i, x, y2)
-        rhs = prob.grad_y(i, x, y) @ (y - y2) + 0.5 * prob.mu * np.sum((y - y2) ** 2)
+        loc = prob.locals[i]
+        lhs = local_value(loc, x, y) - local_value(loc, x, y2)
+        gy = grads_at(prob, x, y)[i, 2:]
+        rhs = gy @ (y - y2) + 0.5 * prob.mu * np.sum((y - y2) ** 2)
         assert lhs >= rhs - 1e-9
 
 
@@ -237,28 +244,14 @@ def test_projection_stacked_rows():
     assert out[1] == pytest.approx([0.1, 0.1])
 
 
-def test_y_star_unsupported_for_constrained_domain():
-    p = make_two_node_case_study()
-    with pytest.raises(UnsupportedConfigError):
-        p.y_star([0.0], projection=ProjectionSet.ball([0.0], 1.0))
-
-
 # -------------------------------------------------------------------- noise
-
-def test_sample_grad_none_is_exact():
-    p = make_two_node_case_study()
-    stream = GradientStream(0)
-    gx, gy = sample_grad(p, 1, [0.3], [0.4], NoiseModel.none(), stream, k=5)
-    assert gx == pytest.approx(p.grad_x(1, [0.3], [0.4]))
-    assert gy == pytest.approx(p.grad_y(1, [0.3], [0.4]))
-
 
 def test_gaussian_unbiasedness_clt():
     # 1e6 draws at a fixed point: empirical mean within 4 standard errors
     p = make_two_node_case_study()
     sigma = 0.1
     stream = GradientStream(123)
-    exact = p.grad_x(0, [1.0], [1.0])[0]
+    exact = grads_at(p, [1.0], [1.0])[0, 0]
     draws = stream.normal_block(k=0, axis=0, n=1_000_000, dim=1)[:, 0]
     noisy_mean = exact + sigma * draws.mean()
     assert abs(noisy_mean - exact) <= 4 * sigma / 1e3
@@ -269,9 +262,8 @@ def test_clipped_norm_bound():
     noise = NoiseModel.clipped(sigma=50.0, clip=2.0)
     stream = GradientStream(7)
     for k in range(50):
-        gx, gy = sample_grad(p, 0, [1.0], [1.0], noise, stream, k=k)
-        assert np.linalg.norm(gx) <= 2.0 + 1e-12
-        assert np.linalg.norm(gy) <= 2.0 + 1e-12
+        G = sample_grad_block(p, np.ones((2, 2)), noise, stream, k)
+        assert np.abs(G).max() <= 2.0 + 1e-12  # one coordinate per side
 
 
 def test_stream_determinism_and_keying():
@@ -283,14 +275,14 @@ def test_stream_determinism_and_keying():
     assert not np.array_equal(b1, s1.normal_block(k=4, axis=0, n=4, dim=2))
     assert not np.array_equal(b1, s1.normal_block(k=3, axis=1, n=4, dim=2))
     assert not np.array_equal(b1, GradientStream(43).normal_block(k=3, axis=0, n=4, dim=2))
-    # a per-node sample is its row of the block
+    # node i's sample is its exact gradient plus sigma times row i of the block
     prob = make_random_problem(n=4, p=2, d=2, seed=5)
     x, y = np.array([0.3, -0.1]), np.array([0.2, 0.5])
-    for i in range(4):
-        gx, gy = sample_grad(prob, i, x, y, NoiseModel.gaussian(0.7), s1, k=3)
-        assert np.array_equal(gx, prob.grad_x(i, x, y) + 0.7 * b1[i])
-        assert np.array_equal(
-            gy, prob.grad_y(i, x, y) + 0.7 * s1.normal_block(k=3, axis=1, n=4, dim=2)[i])
+    XY = np.tile(np.concatenate([x, y]), (4, 1))
+    G = sample_grad_block(prob, XY, NoiseModel.gaussian(0.7), s1, k=3)
+    E = prob.grads_block(XY)
+    assert np.array_equal(G[:, :2], E[:, :2] + 0.7 * b1)
+    assert np.array_equal(G[:, 2:], E[:, 2:] + 0.7 * s1.normal_block(k=3, axis=1, n=4, dim=2))
 
 
 def _reference_block(seed, k, axis, n, dim):
@@ -348,20 +340,23 @@ def test_stream_normals_are_standard():
 
 def test_sample_grads_block_matches_per_node():
     prob = make_random_problem(n=4, p=2, d=2, seed=5)
-    stream = GradientStream(11)
-    noise = NoiseModel.gaussian(0.3)
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, 2))
     Y = rng.standard_normal((4, 2))
-    GX, GY = sample_grads(prob, X, Y, noise, stream, k=9)
-    EX, EY = prob.grads_all(X, Y)
-    for i in range(4):
-        gx, gy = sample_grad(prob, i, X[i], Y[i], noise, stream, k=9)
-        # identical noise stream per node; gradient bases agree to rounding
-        assert np.array_equal(GX[i] - EX[i], gx - prob.grad_x(i, X[i], Y[i]))
-        assert np.array_equal(GY[i] - EY[i], gy - prob.grad_y(i, X[i], Y[i]))
-        assert np.allclose(GX[i], gx, rtol=1e-14, atol=1e-14)
-        assert np.allclose(GY[i], gy, rtol=1e-14, atol=1e-14)
+    XY = np.concatenate([X, Y], axis=1)
+    E = prob.grads_block(XY)
+    for noise in (NoiseModel.none(), NoiseModel.gaussian(0.3), NoiseModel.clipped(3.0, 1.5)):
+        stream = GradientStream(11)
+        G = sample_grad_block(prob, XY, noise, stream, k=9)
+        for i in range(4):
+            gx, gy = node_sample(prob, i, X[i], Y[i], noise, stream, k=9)
+            ex, ey = local_grads(prob.locals[i], X[i], Y[i])
+            if noise.kind == "gaussian":
+                # identical noise stream per node; gradient bases agree to rounding
+                assert np.array_equal(G[i, :2] - E[i, :2], gx - ex)
+                assert np.array_equal(G[i, 2:] - E[i, 2:], gy - ey)
+            assert np.allclose(G[i, :2], gx, rtol=1e-14, atol=1e-14)
+            assert np.allclose(G[i, 2:], gy, rtol=1e-14, atol=1e-14)
 
 
 def test_noise_model_validation():
@@ -377,7 +372,7 @@ def test_noise_model_validation():
 
 def test_problem_json_round_trip():
     p = make_synthetic(4, seed=3)
-    doc = json.loads(p.to_json())
+    doc = json.loads(json.dumps(p.to_dict()))
     q = QuadraticMinimaxProblem.from_dict(doc)
     assert q.n == p.n
     assert np.array_equal(q.A_stack, p.A_stack)
@@ -390,8 +385,9 @@ def test_averaged_collapse():
     p = make_two_node_case_study()
     avg = p.averaged()
     assert avg.n == 1
-    assert avg.grad_x(0, [0.0], [0.0])[0] == pytest.approx(-1.0)
-    assert avg.grad_y(0, [0.0], [0.0])[0] == pytest.approx(0.6)
+    G = grads_at(avg, [0.0], [0.0])
+    assert G[0, 0] == pytest.approx(-1.0)
+    assert G[0, 1] == pytest.approx(0.6)
     # average coupling (1+2)/2 and curvature (1+4)/2
     assert avg.A_bar[0, 0] == pytest.approx(1.5)
     assert avg.C_bar[0, 0] == pytest.approx(2.5)

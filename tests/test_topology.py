@@ -11,12 +11,16 @@ from adast.topology import (
     is_connected,
     metropolis_weights,
     spectral_rho,
-    svd_rho,
     uniform_out_weights,
     validate_doubly_stochastic,
     weights_for,
 )
 from conftest import sinkhorn_doubly_stochastic
+
+
+def svd_rho(W: np.ndarray) -> float:
+    """||W - J||_2^2 by a dense SVD, the reference for spectral_rho."""
+    return float(np.linalg.svd(W - 1.0 / W.shape[0], compute_uv=False)[0] ** 2)
 
 
 def test_ring3_neighbors_all_others():
