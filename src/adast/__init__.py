@@ -45,7 +45,6 @@ from .topology import (  # noqa: F401
     Graph,
     GraphKind,
     GraphSpec,
-    StochasticityReport,
     WeightMatrix,
     build_graph,
     is_connected,

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, AlgoConfig
+from .algorithms import AlgoConfig
 from .errors import ConfigError
-from .harness import RunConfig, counterexample_report, run_experiment
+from .harness import EXPERIMENTS, RunConfig, counterexample_report, run_experiment
 from .problems import NoiseModel
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
@@ -96,50 +96,44 @@ def _csv_floats(text: str) -> list[float]:
 
 
 def _noise_from_args(args) -> NoiseModel:
-    if args.noise == "none":
+    # an unset --noise is Gaussian for the synthetic family and none elsewhere
+    kind = args.noise or ("gaussian" if args.experiment == "synthetic" else "none")
+    if kind == "none":
         return NoiseModel.none()
-    if args.noise == "gaussian":
+    if kind == "gaussian":
         return NoiseModel.gaussian(args.sigma)
     return NoiseModel.clipped(args.sigma, args.clip)
 
 
-def _topology_from_args(args, default_kind: str | None = None) -> GraphSpec | None:
-    kind = args.topology or default_kind
-    if kind is None:
-        return None
-    if args.n is None:
+def _graph_spec(kind: str, n: int | None) -> GraphSpec:
+    if n is None:
         raise ConfigError("--n is required when a topology is given")
     try:
         gk = GraphKind(kind)
     except ValueError as exc:
         raise ConfigError(f"unknown topology {kind!r}") from exc
-    return GraphSpec(n=args.n, kind=gk)
+    return GraphSpec(n=n, kind=gk)
 
 
 def _algo_configs_from_args(args) -> list[AlgoConfig]:
-    configs = []
-    for algo in _csv_list(args.algos):
-        if algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-        configs.append(
-            AlgoConfig(
-                algo=algo,
-                gamma_x=args.gamma_x,
-                gamma_y=args.gamma_y,
-                alpha=args.alpha,
-                beta=args.beta,
-                c0=args.c0,
-                K=args.K,
-                stepsize_source=args.stepsize_source,
-            )
+    return [
+        AlgoConfig(
+            algo=algo,
+            gamma_x=args.gamma_x,
+            gamma_y=args.gamma_y,
+            alpha=args.alpha,
+            beta=args.beta,
+            c0=args.c0,
+            K=args.K,
+            stepsize_source=args.stepsize_source,
         )
-    return configs
+        for algo in _csv_list(args.algos)
+    ]
 
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="flat key = value config file; flags override")
-    sp.add_argument("--experiment", default="case-study",
-                    choices=("case-study", "counterexample", "synthetic", "custom"))
+    sp.add_argument("--experiment", default="case-study", choices=EXPERIMENTS)
     sp.add_argument("--algos", default="d-sgda,d-tiada,d-adast",
                     help="comma-separated algorithm list")
     sp.add_argument("--topology", default=None,
@@ -160,36 +154,27 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace-stride", type=int, default=100)
     sp.add_argument("--out-dir", default="runs/latest")
-    sp.add_argument("--init-x", type=float, default=None)
+    sp.add_argument("--init-x", type=float, default=None,
+                    help="start x_i = init_x + init_spread*i; the counterexample's x0")
     sp.add_argument("--init-y", type=float, default=None)
-    sp.add_argument("--init-spread", type=float, default=0.0)
-    sp.add_argument("--ce-x0", type=float, default=10.0)
+    sp.add_argument("--init-spread", type=float, default=None)
     sp.add_argument("--L-low", type=float, default=1.5)
     sp.add_argument("--L-high", type=float, default=2.5)
     sp.add_argument("--problem-json", default=None)
 
 
 def _run_config_from_args(args) -> RunConfig:
-    if args.noise is None:
-        noise = (
-            NoiseModel.gaussian(args.sigma)
-            if args.experiment == "synthetic"
-            else NoiseModel.none()
-        )
-    else:
-        noise = _noise_from_args(args)
     return RunConfig(
         experiment=args.experiment,
         algo_configs=_algo_configs_from_args(args),
-        topology=_topology_from_args(args),
-        noise=noise,
+        topology=_graph_spec(args.topology, args.n) if args.topology else None,
+        noise=_noise_from_args(args),
         seed=args.seed,
         trace_stride=args.trace_stride,
         out_dir=Path(args.out_dir) if args.out_dir else None,
         init_x=args.init_x,
         init_y=args.init_y,
         init_spread=args.init_spread,
-        ce_x0=args.ce_x0,
         n=args.n,
         L_low=args.L_low,
         L_high=args.L_high,
@@ -286,18 +271,14 @@ def cmd_spectral(argv: list[str]) -> int:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args(argv)
-    try:
-        kind = GraphKind(args.topology)
-    except ValueError as exc:
-        raise ConfigError(f"unknown topology {args.topology!r}") from exc
-    wm = weights_for(GraphSpec(n=args.n, kind=kind))
-    report = validate_doubly_stochastic(wm.W, tol=args.tol)
+    spec = _graph_spec(args.topology, args.n)
+    wm = weights_for(spec)
     print(json.dumps({
-        "topology": kind.value,
+        "topology": spec.kind.value,
         "n": args.n,
         "rho_w": wm.rho_w,
         "rho_w_spectral_norm": wm.spectral_norm,
-        "validation": report.to_dict(),
+        "validation": validate_doubly_stochastic(wm.W, tol=args.tol),
     }))
     return 0
 

@@ -29,7 +29,7 @@ from .problems import (
     make_synthetic,
     make_two_node_case_study,
 )
-from .topology import GraphKind, GraphSpec, WeightMatrix, validate_doubly_stochastic, weights_for
+from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
 __all__ = [
     "RunConfig",
@@ -54,12 +54,11 @@ class RunConfig:
     seed: int = 0
     trace_stride: int = 100
     out_dir: Path | None = None
-    # initialization: base point plus a per-node additive offset step
+    # start x_i = init_x + init_spread*i (y likewise); None takes the
+    # experiment's default, see _DEFAULTS
     init_x: float | None = None
     init_y: float | None = None
-    init_spread: float = 0.0
-    # counterexample start: all nodes at (ce_x0, slope * ce_x0)
-    ce_x0: float = 10.0
+    init_spread: float | None = None
     # synthetic parameters
     n: int | None = None
     L_low: float = 1.5
@@ -79,17 +78,6 @@ class RunConfig:
 
 
 @dataclass
-class PreparedExperiment:
-    problem: QuadraticMinimaxProblem
-    weights: WeightMatrix
-    topology: GraphSpec
-    X0: np.ndarray
-    Y0: np.ndarray
-    init_note: str
-    noise: NoiseModel
-
-
-@dataclass
 class ExperimentResult:
     config: RunConfig
     traces: dict[str, Trace]
@@ -101,24 +89,46 @@ class ExperimentResult:
         return any(t.aborted for t in self.traces.values())
 
 
-def _spread_init(base: float, spread: float, n: int) -> np.ndarray:
-    return base + spread * np.arange(n)
+# experiment -> (default graph kind, default (init_x, init_y, init_spread)).
+# The synthetic default start is its stationary point unless init_x or
+# init_y is given; the counterexample starts on its invariance line at
+# init_x.  Its iterates stay frozen only on the complete graph with exact
+# gradients, its defaults.
+_DEFAULTS = {
+    "case-study": (GraphKind.RING, (1.0, 1.0, 0.01)),
+    "counterexample": (GraphKind.COMPLETE, (10.0, None, None)),
+    "synthetic": (GraphKind.EXPONENTIAL, (0.0, 0.0, 0.0)),
+    "custom": (None, (0.0, 0.0, 0.0)),
+}
 
 
-def _prepare(cfg: RunConfig) -> PreparedExperiment:
+def _counterexample_start(alpha: float, beta: float, x0: float):
+    """The three-node instance for (alpha, beta), its slope and its start:
+    every node at (x0, slope * x0) on the invariance line."""
+    if x0 == 0.0:
+        raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
+    problem, slope = make_counterexample(alpha, beta)
+    return problem, slope, np.full((3, 1), float(x0)), np.full((3, 1), slope * float(x0))
+
+
+def _prepare(cfg: RunConfig):
+    """The problem, weights, topology, start (X0, Y0) and its manifest note.
+
+    Every experiment takes its topology, node count, noise and start from
+    ``cfg`` by one rule; only the problem and the defaults differ."""
+    kind, (bx, by, spread) = _DEFAULTS[cfg.experiment]
+    bx = bx if cfg.init_x is None else cfg.init_x
+    by = by if cfg.init_y is None else cfg.init_y
+    spread = spread if cfg.init_spread is None else cfg.init_spread
+    X0 = note = None
     if cfg.experiment == "case-study":
         problem = make_two_node_case_study()
-        topo = cfg.topology or GraphSpec(n=2, kind=GraphKind.RING)
-        if topo.n != 2:
-            raise ConfigError("the case study is a two-node instance (topology n=2)")
-        base_x = 1.0 if cfg.init_x is None else cfg.init_x
-        base_y = 1.0 if cfg.init_y is None else cfg.init_y
-        spread = cfg.init_spread if cfg.init_spread else 0.01
-        X0 = _spread_init(base_x, spread, 2)[:, None]
-        Y0 = _spread_init(base_y, spread, 2)[:, None]
-        note = f"x_i = {base_x} + {spread}*i, y_i = {base_y} + {spread}*i"
-        noise = cfg.noise
     elif cfg.experiment == "counterexample":
+        if cfg.init_y is not None or cfg.init_spread is not None:
+            raise ConfigError(
+                "the counterexample starts on its invariance line at init_x; "
+                "init_y and init_spread do not apply"
+            )
         # The instance is built for the adaptive methods' exponents (d-sgda
         # has none), so one run can hold only one pair.
         adaptive = [ac for ac in cfg.algo_configs if ac.algo != "d-sgda"]
@@ -127,42 +137,22 @@ def _prepare(cfg: RunConfig) -> PreparedExperiment:
             raise ConfigError(
                 f"counterexample methods need one exponent pair (alpha, beta), got {exponents}"
             )
-        if cfg.ce_x0 == 0.0:
-            raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
         ac = (adaptive or cfg.algo_configs)[0]
-        problem, slope = make_counterexample(ac.alpha, ac.beta)
-        # The frozen-iterates construction needs three nodes on a complete
-        # graph with exact gradients.
-        topo = GraphSpec(n=3, kind=GraphKind.COMPLETE)
-        X0 = np.full((3, 1), float(cfg.ce_x0))
-        Y0 = np.full((3, 1), slope * float(cfg.ce_x0))
-        note = f"all nodes at (x0, slope*x0) = ({cfg.ce_x0}, {slope * cfg.ce_x0})"
-        noise = NoiseModel.none()
+        problem, slope, X0, Y0 = _counterexample_start(ac.alpha, ac.beta, bx)
+        note = f"all nodes at (x0, slope*x0) = ({bx}, {slope * bx})"
     elif cfg.experiment == "synthetic":
         if cfg.n is None:
             raise ConfigError("synthetic experiment needs --n (node count)")
         problem = make_synthetic(cfg.n, cfg.seed, cfg.L_low, cfg.L_high)
-        topo = cfg.topology or GraphSpec(n=cfg.n, kind=GraphKind.EXPONENTIAL)
-        if topo.n != cfg.n:
-            raise ConfigError(f"topology n={topo.n} does not match --n {cfg.n}")
         if cfg.init_x is None and cfg.init_y is None:
             stat = problem.stationary_point()
             if stat is None:
-                X0 = np.zeros((cfg.n, 1))
-                Y0 = np.zeros((cfg.n, 1))
                 note = "origin (averaged objective has no unique stationary point)"
             else:
-                x_star, y_star = stat
-                X0 = np.tile(x_star, (cfg.n, 1))
-                Y0 = np.tile(y_star, (cfg.n, 1))
-                note = f"all nodes at the stationary point ({x_star[0]:.6g}, {y_star[0]:.6g})"
-        else:
-            bx = cfg.init_x or 0.0
-            by = cfg.init_y or 0.0
-            X0 = _spread_init(bx, cfg.init_spread, cfg.n)[:, None]
-            Y0 = _spread_init(by, cfg.init_spread, cfg.n)[:, None]
-            note = f"x_i = {bx} + {cfg.init_spread}*i, y_i = {by} + {cfg.init_spread}*i"
-        noise = cfg.noise
+                bx, by = stat
+                note = f"all nodes at the stationary point ({bx[0]:.6g}, {by[0]:.6g})"
+            if spread:
+                note += f", plus {spread}*i"
     else:  # custom
         if cfg.problem_json is None:
             raise ConfigError("custom experiment needs --problem-json")
@@ -170,21 +160,20 @@ def _prepare(cfg: RunConfig) -> PreparedExperiment:
         problem = QuadraticMinimaxProblem.from_dict(doc)
         if cfg.topology is None:
             raise ConfigError("custom experiment needs an explicit topology")
-        topo = cfg.topology
-        if topo.n != problem.n:
-            raise ConfigError(f"topology n={topo.n} does not match problem n={problem.n}")
-        bx = cfg.init_x or 0.0
-        by = cfg.init_y or 0.0
-        X0 = np.tile(_spread_init(bx, cfg.init_spread, problem.n)[:, None], (1, problem.p))
-        Y0 = np.tile(_spread_init(by, cfg.init_spread, problem.n)[:, None], (1, problem.d))
-        note = f"x_i = {bx} + {cfg.init_spread}*i (all coords), same for y"
-        noise = cfg.noise
 
-    weights = weights_for(topo)
-    return PreparedExperiment(
-        problem=problem, weights=weights, topology=topo, X0=X0, Y0=Y0,
-        init_note=note, noise=noise,
-    )
+    n = problem.n
+    if cfg.n is not None and cfg.n != n:
+        raise ConfigError(f"--n {cfg.n} does not match the {cfg.experiment} problem's n={n}")
+    topo = cfg.topology or GraphSpec(n=n, kind=kind)
+    if topo.n != n:
+        raise ConfigError(f"topology n={topo.n} does not match problem n={n}")
+    if X0 is None:
+        offset = spread * np.arange(n)[:, None]
+        X0 = np.full((n, problem.p), bx) + offset
+        Y0 = np.full((n, problem.d), by) + offset
+    if note is None:
+        note = f"x_i = {bx} + {spread}*i, y_i = {by} + {spread}*i"
+    return problem, weights_for(topo), topo, X0, Y0, note
 
 
 def write_trace(trace: Trace, path: Path | str) -> None:
@@ -232,10 +221,10 @@ def _gnuplot_script(algo_files: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
-    """Run all algorithm configs of an experiment and persist artifacts."""
-    prepared = _prepare(cfg)
-    problem, wm = prepared.problem, prepared.weights
+def run_experiment(cfg: RunConfig) -> ExperimentResult:
+    """Run all algorithm configs of an experiment; write its artifacts
+    unless ``cfg.out_dir`` is None."""
+    problem, wm, topo, X0, Y0, note = _prepare(cfg)
 
     labels = []
     seen: dict[str, int] = {}
@@ -249,20 +238,11 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
         labels.append(label)
 
     trace_map = {
-        label: run(
-            problem,
-            wm.W,
-            ac,
-            prepared.noise,
-            x0=prepared.X0,
-            y0=prepared.Y0,
-            seed=cfg.seed,
-            trace_stride=cfg.trace_stride,
-        )
+        label: run(problem, wm.W, ac, cfg.noise, x0=X0, y0=Y0, seed=cfg.seed,
+                   trace_stride=cfg.trace_stride)
         for label, ac in zip(labels, cfg.algo_configs)
     }
 
-    validation = validate_doubly_stochastic(wm.W)
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -270,16 +250,16 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
         "seed": cfg.seed,
         "trace_stride": cfg.trace_stride,
         "topology": {
-            "kind": prepared.topology.kind.value,
-            "n": prepared.topology.n,
+            "kind": topo.kind.value,
+            "n": topo.n,
         },
         "rho_w": wm.rho_w,
         "rho_w_spectral_norm": wm.spectral_norm,
-        "weights_validation": validation.to_dict(),
-        "noise": {**prepared.noise.to_dict(), "stream": GradientStream.VERSION},
-        "init": prepared.init_note,
-        "init_x0": prepared.X0.tolist(),
-        "init_y0": prepared.Y0.tolist(),
+        "weights_validation": validate_doubly_stochastic(wm.W),
+        "noise": {**cfg.noise.to_dict(), "stream": GradientStream.VERSION},
+        "init": note,
+        "init_x0": X0.tolist(),
+        "init_y0": Y0.tolist(),
         "problem": problem.to_dict(),
         "algorithms": {
             label: ac.to_dict() for label, ac in zip(labels, cfg.algo_configs)
@@ -296,11 +276,13 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentResult:
     }
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    if write and out_dir is not None:
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for label, trace in trace_map.items():
             write_trace(trace, out_dir / f"trace_{label}.csv")
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        # streamed, not joined first: a 400-node manifest is about 1 MB of text
+        with open(out_dir / "manifest.json", "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
         (out_dir / "plots.gp").write_text(
             _gnuplot_script({label: f"trace_{label}.csv" for label in labels})
         )
@@ -324,11 +306,8 @@ def counterexample_report(
     drift at rounding level); d-adast should leave the line and shrink
     the primal gradient.  All runs use exact gradients and zero buffers.
     """
-    if x0 == 0.0:
-        raise ConfigError("x0 = 0 starts at the stationary point; nothing to show")
-    problem, slope = make_counterexample(alpha, beta)
-    X0 = np.full((3, 1), float(x0))
-    Y0 = np.full((3, 1), slope * float(x0))
+    problem, slope, X0, Y0 = _counterexample_start(alpha, beta, x0)
+    K_escape = K if K_escape is None else K_escape
 
     report: dict = {
         "alpha": alpha,
@@ -338,9 +317,9 @@ def counterexample_report(
         "gamma_x": gamma_x,
         "gamma_y": gamma_y,
         "K": K,
-        "K_escape": K_escape or K,
+        "K_escape": K_escape,
     }
-    for algo, horizon in (("d-tiada", K), ("d-adast", K_escape or K)):
+    for algo, horizon in (("d-tiada", K), ("d-adast", K_escape)):
         ac = AlgoConfig(
             algo=algo, gamma_x=gamma_x, gamma_y=gamma_y, alpha=alpha, beta=beta,
             c0=0.0, K=horizon,

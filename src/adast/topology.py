@@ -26,7 +26,6 @@ __all__ = [
     "GraphSpec",
     "Graph",
     "WeightMatrix",
-    "StochasticityReport",
     "build_graph",
     "metropolis_weights",
     "uniform_out_weights",
@@ -260,46 +259,17 @@ def spectral_rho(W: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
-@dataclass(frozen=True)
-class StochasticityReport:
-    """Row/column sum deviations and negativity violations of a candidate W."""
-
-    row_dev: np.ndarray
-    col_dev: np.ndarray
-    min_entry: float
-    tol: float
-
-    @property
-    def max_row_dev(self) -> float:
-        return float(np.abs(self.row_dev).max())
-
-    @property
-    def max_col_dev(self) -> float:
-        return float(np.abs(self.col_dev).max())
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_row_dev <= self.tol
-            and self.max_col_dev <= self.tol
-            and self.min_entry >= -self.tol
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "max_row_dev": self.max_row_dev,
-            "max_col_dev": self.max_col_dev,
-            "min_entry": self.min_entry,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-def validate_doubly_stochastic(W: np.ndarray, tol: float = 1e-12) -> StochasticityReport:
+def validate_doubly_stochastic(W: np.ndarray, tol: float = 1e-12) -> dict:
+    """Largest row- and column-sum deviations from 1 and the smallest entry
+    of a candidate W, and whether all three are within ``tol``."""
     W = np.asarray(W, dtype=float)
-    return StochasticityReport(
-        row_dev=W.sum(axis=1) - 1.0,
-        col_dev=W.sum(axis=0) - 1.0,
-        min_entry=float(W.min()),
-        tol=tol,
-    )
+    row_dev = float(np.abs(W.sum(axis=1) - 1.0).max())
+    col_dev = float(np.abs(W.sum(axis=0) - 1.0).max())
+    min_entry = float(W.min())
+    return {
+        "max_row_dev": row_dev,
+        "max_col_dev": col_dev,
+        "min_entry": min_entry,
+        "tol": tol,
+        "passed": row_dev <= tol and col_dev <= tol and min_entry >= -tol,
+    }

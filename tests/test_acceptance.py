@@ -279,7 +279,7 @@ def test_criterion_4_synthetic_ordering():
                 trace_stride=100,
                 out_dir=None,
             )
-            result = run_experiment(cfg, write=False)
+            result = run_experiment(cfg)
             rho_reported = result.manifest["rho_w_spectral_norm"]
             for label, trace in result.traces.items():
                 vals = [
@@ -349,7 +349,7 @@ def test_criterion_5_tracking_conservation(case_study_traces, coordinate_traces,
         trace_stride=100,
         out_dir=None,
     )
-    check(run_experiment(cfg, write=False).traces["d-adast"], 1e-6)
+    check(run_experiment(cfg).traces["d-adast"], 1e-6)
 
     ok = worst <= 1e-12
     _report("5 (tracking conservation)", ok,
@@ -373,7 +373,7 @@ def test_criterion_6_weight_matrix_suite():
     all_valid = True
     for kind, n in specs:
         wm = weights_for(GraphSpec(n=n, kind=kind))
-        all_valid &= validate_doubly_stochastic(wm.W, tol=1e-12).passed
+        all_valid &= validate_doubly_stochastic(wm.W, tol=1e-12)["passed"]
 
     worst_gap = 0.0
     for seed in range(20):

@@ -16,7 +16,7 @@ from adast.harness import (
     write_trace,
 )
 from adast.metrics import TRACE_HEADER
-from adast.problems import GradientStream, NoiseModel, QuadraticMinimaxProblem
+from adast.problems import GradientStream, NoiseModel, QuadraticMinimaxProblem, make_synthetic
 from adast.topology import GraphKind, GraphSpec, weights_for
 
 
@@ -192,7 +192,7 @@ def test_counterexample_invariants_enforced():
                     AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
                                alpha=0.75, beta=0.25, K=5)
                 ],
-                ce_x0=0.0,
+                init_x=0.0,
             )
         )
     # exponents outside the construction's window 0 < beta < 0.5 < alpha < 1
@@ -216,7 +216,6 @@ def test_counterexample_invariants_enforced():
                            alpha=0.75, beta=0.25, K=5),
             ],
         ),
-        write=False,
     )
     assert (result.manifest["problem"]["meta"]["alpha"],
             result.manifest["problem"]["meta"]["beta"]) == (0.75, 0.25)
@@ -230,6 +229,22 @@ def test_counterexample_report_shape():
     assert not rep["d-adast"]["aborted"]
     with pytest.raises(ConfigError):
         counterexample_report(0.75, 0.25, 0.0, K=10)
+
+
+def test_counterexample_report_honours_K_escape_zero():
+    rep = counterexample_report(0.75, 0.25, 10.0, K=20, K_escape=0)
+    assert rep["K"] == 20 and rep["K_escape"] == 0
+    # d-adast ran no iteration, so its gradients end where they start
+    assert rep["d-adast"]["final_over_initial_grad_x"] == 1.0
+
+
+def test_case_study_init_spread_zero_starts_both_nodes_together():
+    cfg = _mini_case_study(K=5, stride=5, algos=("d-adast",))
+    cfg.init_spread = 0.0
+    man = run_experiment(cfg).manifest
+    assert man["init_x0"] == [[1.0], [1.0]]
+    assert man["init_y0"] == [[1.0], [1.0]]
+    assert man["init"] == "x_i = 1.0 + 0.0*i, y_i = 1.0 + 0.0*i"
 
 
 # ----------------------------------------------------------------------- CLI
@@ -317,6 +332,9 @@ def test_cli_config_file_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("experiment = case-study\nwarp_speed = 9\n")
     assert cli_main(["run", "--config", str(bad)]) == 2
+    # the counterexample's start is --init-x; there is no ce_x0 any more
+    bad.write_text("experiment = counterexample\nce_x0 = 3\n")
+    assert cli_main(["run", "--config", str(bad)]) == 2
 
 
 def test_cli_sweep_single_cell_matches_run(tmp_path, capsys):
@@ -339,7 +357,6 @@ def test_cli_sweep_single_cell_matches_run(tmp_path, capsys):
             trace_stride=10,
             out_dir=None,
         ),
-        write=False,
     )
     assert float(cell[5]) == direct.traces["d-adast"].records[-1].grad_phi_sq
 
@@ -376,12 +393,51 @@ def test_cli_run_counterexample_runs_the_given_exponents(tmp_path, capsys):
     rc = cli_main([
         "run", "--experiment", "counterexample", "--algos", "d-tiada",
         "--alpha", "0.6", "--beta", "0.4", "--K", "10", "--out-dir", str(out),
+        "--noise", "gaussian", "--init-x", "-3",
     ])
     assert rc == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["algorithms"]["d-tiada"]["alpha"] == 0.6
     assert man["problem"]["meta"]["alpha"] == 0.6
     assert man["algorithms"]["d-tiada"]["beta"] == man["problem"]["meta"]["beta"] == 0.4
+    assert man["noise"]["kind"] == "gaussian"
+    assert man["topology"] == {"kind": "complete", "n": 3}
+    assert man["init_x0"] == [[-3.0]] * 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--topology", "ring", "--n", "5"],  # the construction has three nodes
+    ["--n", "5"],
+    ["--init-y", "2"],  # the start lies on the invariance line at --init-x
+    ["--init-spread", "0.1"],
+    ["--init-x", "0"],  # the origin is stationary
+])
+def test_cli_run_counterexample_refuses_what_the_construction_fixes(tmp_path, flags):
+    rc = cli_main([
+        "run", "--experiment", "counterexample", "--algos", "d-tiada",
+        "--alpha", "0.75", "--beta", "0.25", "--K", "10",
+        "--out-dir", str(tmp_path / "ce"), *flags,
+    ])
+    assert rc == 2
+    assert not (tmp_path / "ce").exists()
+
+
+def test_cli_run_custom_start_and_manifest_note(tmp_path, capsys):
+    problem_json = tmp_path / "problem.json"
+    problem_json.write_text(json.dumps(make_synthetic(4, 0).to_dict()))
+    out = tmp_path / "custom"
+    rc = cli_main([
+        "run", "--experiment", "custom", "--problem-json", str(problem_json),
+        "--topology", "ring", "--n", "4", "--algos", "d-adast", "--K", "10",
+        "--init-x", "1", "--init-y", "-1", "--init-spread", "0.01",
+        "--out-dir", str(out),
+    ])
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["init"] == "x_i = 1.0 + 0.01*i, y_i = -1.0 + 0.01*i"
+    assert man["init_x0"] == [[1.0 + 0.01 * i] for i in range(4)]
+    assert man["init_y0"] == [[-1.0 + 0.01 * i] for i in range(4)]
+    assert man["noise"]["kind"] == "none"
 
 
 def test_cli_sweep_empty_grid(tmp_path):

@@ -1,0 +1,148 @@
+"""Write the standard set of ``adast`` outputs for one source tree, and
+compare two such sets file by file.
+
+    python3 tools/compare_outputs.py write SRC_DIR OUT_DIR
+    python3 tools/compare_outputs.py compare OUT_A OUT_B
+
+``write`` runs the command line of the package found in SRC_DIR (the
+directory that holds ``adast/``) on a fixed list of experiments: trace
+CSVs of the case study, of the counterexample at two starts, of a noisy
+synthetic run and of a coordinate-wise run; a custom sweep on a 60-node
+ring and a counterexample exponent sweep with their ``sweep.csv``; two
+``adast counterexample`` reports; and two ``adast spectral`` lines.  Each
+lands in its own subdirectory of OUT_DIR.
+
+``compare`` checks that both sets hold the same files, that every file
+is byte-identical, and that every ``manifest.json`` holds the same values
+apart from ``timestamp``.  It prints each difference and exits 1 when
+there is one, 0 otherwise.  Typical use: write the set for the parent
+commit's ``src`` (from a ``git archive`` copy) and for the working tree,
+then compare them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def ring_problem(n: int, p: int, d: int, seed: int) -> dict:
+    """A custom problem in the problem-JSON layout: B_i >= I, so each
+    local is strongly concave in y, and the average of C_i is -I/2."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, d, d))
+    B = np.eye(d) + M @ np.swapaxes(M, 1, 2) / (2 * d)
+    A = 0.3 * rng.standard_normal((n, p, d))
+    E = 0.1 * rng.standard_normal((n, p, p))
+    E = E + np.swapaxes(E, 1, 2)
+    C = -0.5 * np.eye(p) + E - E.mean(axis=0)
+    b = rng.standard_normal((n, p))
+    c = rng.standard_normal((n, d))
+    return {
+        "p": p, "d": d, "n": n,
+        "locals": [{"B": B[i].tolist(), "A": A[i].tolist(), "C": C[i].tolist(),
+                    "b": b[i].tolist(), "c": c[i].tolist()} for i in range(n)],
+        "meta": {"name": "compare-ring", "seed": seed},
+    }
+
+
+def _adast(src: Path, argv: list[str]) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "adast.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    if done.returncode not in (0, 3):  # 3: a run aborted, which is an output too
+        raise SystemExit(f"adast {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def write_set(src: Path, out: Path) -> None:
+    src = src.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    problem_json = out / "ring-problem.json"
+    problem_json.write_text(json.dumps(ring_problem(60, 2, 2, seed=5)))
+    # the counterexample's start flag was --ce-x0 before it became --init-x
+    x0_flag = "--ce-x0" if "--ce-x0" in _adast(src, ["run", "--help"]) else "--init-x"
+    ce = ["--experiment", "counterexample", "--alpha", "0.75", "--beta", "0.25",
+          "--K", "20000", "--trace-stride", "3"]
+    synthetic = ["--experiment", "synthetic", "--n", "50", "--seed", "3", "--K", "10000"]
+    runs = {
+        "case-study": ["run", "--experiment", "case-study", "--K", "20000",
+                       "--trace-stride", "1"],
+        "counterexample": ["run", *ce],
+        "counterexample-x0-minus-3": ["run", *ce, x0_flag, "-3"],
+        "synthetic": ["run", *synthetic],
+        "coord-mixed": ["run", *synthetic, "--algos", "d-adast-coord",
+                        "--stepsize-source", "mixed", "--init-x", "0.5",
+                        "--init-spread", "0.1", "--trace-stride", "7"],
+        "custom-sweep": ["sweep", "--experiment", "custom", "--problem-json",
+                         str(problem_json), "--topology", "ring", "--n", "60",
+                         "--algos", "d-sgda,d-adast,d-adast-coord", "--noise", "none",
+                         "--stepsize-source", "mixed", "--K", "2000",
+                         "--gamma-x-grid", "0.02,0.05", "--gamma-y-grid", "0.05,0.1",
+                         "--init-x", "1", "--init-y", "-1", "--init-spread", "0.01",
+                         "--trace-stride", "50"],
+        "counterexample-sweep": ["sweep", "--experiment", "counterexample",
+                                 "--algos", "d-tiada,d-adast", "--alpha-grid", "0.75,0.9",
+                                 "--K", "5000", "--trace-stride", "10"],
+    }
+    for name, argv in runs.items():
+        _adast(src, [*argv, "--out-dir", str(out / name)])
+    (out / "reports").mkdir(exist_ok=True)
+    for alpha, beta, x0, K in (("0.75", "0.25", "10", "1000"), ("0.9", "0.1", "1", "20000")):
+        _adast(src, ["counterexample", "--alpha", alpha, "--beta", beta, "--x0", x0,
+                     "--K", K, "--out", str(out / "reports" / f"ce-{alpha}-{beta}-{x0}-{K}.json")])
+    (out / "spectral").mkdir(exist_ok=True)
+    for kind, n in (("exponential", "50"), ("ring", "400")):
+        line = _adast(src, ["spectral", "--topology", kind, "--n", n])
+        (out / "spectral" / f"{kind}-{n}.json").write_text(line)
+
+
+def compare_sets(a: Path, b: Path) -> int:
+    files = sorted({f.relative_to(root) for root in (a, b)
+                    for f in root.rglob("*") if f.is_file()})
+    differ = 0
+    for rel in files:
+        fa, fb = a / rel, b / rel
+        if not (fa.is_file() and fb.is_file()):
+            print(f"{rel}: only in {a if fa.is_file() else b}")
+        elif rel.name == "manifest.json":
+            ma, mb = json.loads(fa.read_text()), json.loads(fb.read_text())
+            keys = sorted(k for k in (ma.keys() | mb.keys()) - {"timestamp"}
+                          if json.dumps(ma.get(k), sort_keys=True)
+                          != json.dumps(mb.get(k), sort_keys=True))
+            if not keys:
+                continue
+            print(f"{rel}: manifest values differ at {keys}")
+        elif fa.read_bytes() != fb.read_bytes():
+            print(f"{rel}: bytes differ")
+        else:
+            continue
+        differ += 1
+    print(f"{len(files) - differ} of {len(files)} files identical")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="write the output set of the adast in SRC_DIR")
+    w.add_argument("src", type=Path)
+    w.add_argument("out", type=Path)
+    c = sub.add_parser("compare", help="compare two output sets")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = parser.parse_args()
+    if args.command == "write":
+        write_set(args.src, args.out)
+        return 0
+    return compare_sets(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
