@@ -34,7 +34,6 @@ from .problems import (  # noqa: F401
     GradientStream,
     NoiseModel,
     ProjectionSet,
-    QuadraticLocal,
     QuadraticMinimaxProblem,
     make_counterexample,
     make_synthetic,
@@ -42,7 +41,6 @@ from .problems import (  # noqa: F401
     project,
 )
 from .topology import (  # noqa: F401
-    Graph,
     GraphKind,
     GraphSpec,
     WeightMatrix,

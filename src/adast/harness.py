@@ -156,7 +156,10 @@ def _prepare(cfg: RunConfig):
     else:  # custom
         if cfg.problem_json is None:
             raise ConfigError("custom experiment needs --problem-json")
-        doc = json.loads(Path(cfg.problem_json).read_text())
+        try:
+            doc = json.loads(Path(cfg.problem_json).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read problem JSON {cfg.problem_json}: {exc}") from exc
         problem = QuadraticMinimaxProblem.from_dict(doc)
         if cfg.topology is None:
             raise ConfigError("custom experiment needs an explicit topology")
@@ -307,6 +310,7 @@ def counterexample_report(
     the primal gradient.  All runs use exact gradients and zero buffers.
     """
     problem, slope, X0, Y0 = _counterexample_start(alpha, beta, x0)
+    W = weights_for(GraphSpec(n=3, kind=GraphKind.COMPLETE)).W
     K_escape = K if K_escape is None else K_escape
 
     report: dict = {
@@ -325,7 +329,7 @@ def counterexample_report(
             c0=0.0, K=horizon,
         )
         trace = run(
-            problem, np.full((3, 3), 1.0 / 3.0), ac, NoiseModel.none(),
+            problem, W, ac, NoiseModel.none(),
             x0=X0, y0=Y0, seed=seed, trace_stride=1,
         )
         gx = np.sqrt(trace.grad_xf_sq)

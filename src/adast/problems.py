@@ -26,7 +26,6 @@ from numpy.linalg import LinAlgError
 from .errors import ConfigError
 
 __all__ = [
-    "QuadraticLocal",
     "QuadraticMinimaxProblem",
     "NoiseModel",
     "ProjectionSet",
@@ -45,11 +44,32 @@ X_AXIS = 0
 Y_AXIS = 1
 
 
-def _as_matrix(M: Any, rows: int, cols: int, name: str) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != (rows, cols):
-        raise ConfigError(f"{name} must have shape ({rows},{cols}), got {M.shape}")
+def _as_stack(M: Any, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A float copy of M, which must have the given (n, ...) shape."""
+    M = np.array(M, dtype=float)
+    if M.shape != shape:
+        raise ConfigError(f"{name} must have shape {shape}, got {M.shape}")
     return M
+
+
+def _node_stack(nodes: list, key: str) -> np.ndarray:
+    """Coefficient ``key`` of each problem-JSON node, stacked; names the
+    first node that lacks it, holds a non-number or differs from node 0
+    in shape."""
+    rows = []
+    for i, node in enumerate(nodes):
+        try:
+            entry = node[key]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ConfigError(f"problem node {i} has no {key!r} entry") from exc
+        try:
+            rows.append(np.asarray(entry, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}[{i}] is not numeric: {exc}") from exc
+        if rows[i].shape != rows[0].shape:
+            raise ConfigError(f"{key}[{i}] must have shape {rows[0].shape} as {key}[0] has, "
+                              f"got {rows[i].shape}")
+    return np.array(rows)
 
 
 def _as_vector(v: Any, size: int, name: str) -> np.ndarray:
@@ -73,37 +93,10 @@ def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(M, V[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
-class QuadraticLocal:
-    """Coefficients of one node's quadratic objective."""
-
-    B: np.ndarray  # (d, d) symmetric positive definite
-    A: np.ndarray  # (p, d) coupling
-    C: np.ndarray  # (p, p) symmetric, sign unconstrained
-    b: np.ndarray  # (p,)
-    c: np.ndarray  # (d,)
-
-    @classmethod
-    def from_scalars(cls, B: float, A: float, C: float, b: float, c: float) -> "QuadraticLocal":
-        return cls(
-            B=np.array([[float(B)]]),
-            A=np.array([[float(A)]]),
-            C=np.array([[float(C)]]),
-            b=np.array([float(b)]),
-            c=np.array([float(c)]),
-        )
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
-
-
 class QuadraticMinimaxProblem:
-    """A finite-sum quadratic minimax instance over n nodes.
+    """A finite-sum quadratic minimax instance over n nodes, built from the
+    coefficient stacks A (n, p, d), B (n, d, d), C (n, p, p), b (n, p)
+    and c (n, d), whose row i holds node i's coefficients.
 
     Construction validates the strong-concavity assumption (every B_i
     and their average must be positive definite; Cholesky failure is a
@@ -111,31 +104,22 @@ class QuadraticMinimaxProblem:
     evaluation plus the affine closed forms of y*(x) and grad Phi(x).
     """
 
-    def __init__(self, locals_: list[QuadraticLocal] | tuple[QuadraticLocal, ...],
-                 meta: dict | None = None):
-        if not locals_:
-            raise ConfigError("problem needs at least one local objective")
-        p, d = locals_[0].p, locals_[0].d
-        for i, loc in enumerate(locals_):
-            loc_B = _as_matrix(loc.B, d, d, f"B[{i}]")
-            _as_matrix(loc.A, p, d, f"A[{i}]")
-            _as_matrix(loc.C, p, p, f"C[{i}]")
-            _as_vector(loc.b, p, f"b[{i}]")
-            _as_vector(loc.c, d, f"c[{i}]")
-            if np.abs(loc_B - loc_B.T).max() > 1e-10:
-                raise ConfigError(f"B[{i}] must be symmetric")
-            if np.abs(loc.C - loc.C.T).max() > 1e-10:
-                raise ConfigError(f"C[{i}] must be symmetric")
+    def __init__(self, A: Any, B: Any, C: Any, b: Any, c: Any, meta: dict | None = None):
+        A = np.array(A, dtype=float)
+        if A.ndim != 3 or len(A) == 0:
+            raise ConfigError(f"A must be a non-empty (n, p, d) stack, got shape {A.shape}")
+        n, p, d = A.shape
+        B, C, b, c = (_as_stack(M, (n, *shape), name) for M, shape, name in
+                      ((B, (d, d), "B"), (C, (p, p), "C"), (b, (p,), "b"), (c, (d,), "c")))
+        for M, name in ((B, "B"), (C, "C")):
+            asym = np.abs(M - np.swapaxes(M, 1, 2)).max(axis=(1, 2)) > 1e-10
+            if asym.any():
+                raise ConfigError(f"{name}[{np.argmax(asym)}] must be symmetric")
 
-        self.locals = tuple(locals_)
-        self.p, self.d = p, d
+        self.n, self.p, self.d = n, p, d
         self.meta = dict(meta or {})
-
-        self.A_stack = np.stack([l.A for l in self.locals])  # (n, p, d)
-        self.B_stack = np.stack([l.B for l in self.locals])  # (n, d, d)
-        self.C_stack = np.stack([l.C for l in self.locals])  # (n, p, p)
-        self.b_stack = np.stack([l.b for l in self.locals])  # (n, p)
-        self.c_stack = np.stack([l.c for l in self.locals])  # (n, d)
+        self.A_stack, self.B_stack, self.C_stack = A, B, C  # (n, p, d), (n, d, d), (n, p, p)
+        self.b_stack, self.c_stack = b, c  # (n, p), (n, d)
 
         self.A_bar = self.A_stack.mean(axis=0)
         self.B_bar = self.B_stack.mean(axis=0)
@@ -144,7 +128,6 @@ class QuadraticMinimaxProblem:
         self.c_bar = self.c_stack.mean(axis=0)
 
         # Fused per-node gradient map: (grad_x, grad_y) = M_i (x, y) + r_i.
-        n = len(self.locals)
         self._M_stack = np.zeros((n, p + d, p + d))
         self._M_stack[:, :p, :p] = -self.C_stack
         self._M_stack[:, :p, p:] = self.A_stack
@@ -173,10 +156,6 @@ class QuadraticMinimaxProblem:
         self.mu = float(np.linalg.eigvalsh(self.B_stack)[:, 0].min())
         # Joint smoothness: largest spectral norm of the stacked gradient maps.
         self.L = float(np.linalg.norm(self._M_stack, ord=2, axis=(1, 2)).max())
-
-    @property
-    def n(self) -> int:
-        return len(self.locals)
 
     def grads_block(self, XY: np.ndarray) -> np.ndarray:
         """Exact per-node gradients [grad_x | grad_y] (n, p+d) at the
@@ -237,28 +216,19 @@ class QuadraticMinimaxProblem:
 
     def averaged(self) -> "QuadraticMinimaxProblem":
         """Collapse to the single-node problem with averaged coefficients."""
-        avg = QuadraticLocal(
-            B=self.B_bar, A=self.A_bar, C=self.C_bar, b=self.b_bar, c=self.c_bar
-        )
         meta = dict(self.meta)
         meta["collapsed_from_n"] = self.n
-        return QuadraticMinimaxProblem([avg], meta=meta)
+        return QuadraticMinimaxProblem(self.A_bar[None], self.B_bar[None], self.C_bar[None],
+                                       self.b_bar[None], self.c_bar[None], meta=meta)
 
     def to_dict(self) -> dict:
+        """The problem-JSON document: per-node coefficients under ``locals``."""
+        stacks = (self.B_stack, self.A_stack, self.C_stack, self.b_stack, self.c_stack)
         return {
             "p": self.p,
             "d": self.d,
             "n": self.n,
-            "locals": [
-                {
-                    "B": l.B.tolist(),
-                    "A": l.A.tolist(),
-                    "C": l.C.tolist(),
-                    "b": l.b.tolist(),
-                    "c": l.c.tolist(),
-                }
-                for l in self.locals
-            ],
+            "locals": [dict(zip("BACbc", node)) for node in zip(*(M.tolist() for M in stacks))],
             "mu": self.mu,
             "L": self.L,
             "meta": self.meta,
@@ -266,17 +236,14 @@ class QuadraticMinimaxProblem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QuadraticMinimaxProblem":
-        locals_ = [
-            QuadraticLocal(
-                B=np.asarray(l["B"], dtype=float),
-                A=np.asarray(l["A"], dtype=float),
-                C=np.asarray(l["C"], dtype=float),
-                b=np.asarray(l["b"], dtype=float),
-                c=np.asarray(l["c"], dtype=float),
-            )
-            for l in doc["locals"]
-        ]
-        return cls(locals_, meta=doc.get("meta"))
+        """The problem of a ``to_dict`` document; a malformed one raises
+        ConfigError naming the node at fault."""
+        try:
+            nodes, meta = list(doc["locals"]), dict(doc.get("meta") or {})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("problem JSON needs a 'locals' list of per-node coefficients "
+                              "and, if any, a 'meta' object") from exc
+        return cls(*(_node_stack(nodes, key) for key in "ABCbc"), meta=meta)
 
 
 @dataclass(frozen=True)
@@ -475,17 +442,21 @@ def sample_grad_block(
     return G
 
 
+def _scalar_problem(A, B, C, b, c, meta: dict) -> QuadraticMinimaxProblem:
+    """The p = d = 1 problem whose node i has the coefficients A[i], ..., c[i]."""
+    A, B, C = (np.asarray(M, dtype=float).reshape(-1, 1, 1) for M in (A, B, C))
+    b, c = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (b, c))
+    return QuadraticMinimaxProblem(A, B, C, b, c, meta=meta)
+
+
 def make_two_node_case_study() -> QuadraticMinimaxProblem:
     """Two scalar nodes whose average has the stationary line 3y = 5x + 2.
 
     f1(x,y) = -(9/20) y^2 + (3/5) y - x +   x y - (1/2) x^2
     f2(x,y) = -(9/20) y^2 + (3/5) y - x + 2 x y -   2   x^2
     """
-    locals_ = [
-        QuadraticLocal.from_scalars(B=0.9, A=1.0, C=1.0, b=-1.0, c=0.6),
-        QuadraticLocal.from_scalars(B=0.9, A=2.0, C=4.0, b=-1.0, c=0.6),
-    ]
-    return QuadraticMinimaxProblem(locals_, meta={"name": "two-node-case-study"})
+    return _scalar_problem(A=[1.0, 2.0], B=[0.9, 0.9], C=[1.0, 4.0], b=[-1.0, -1.0],
+                           c=[0.6, 0.6], meta={"name": "two-node-case-study"})
 
 
 def make_counterexample(alpha: float, beta: float) -> tuple[QuadraticMinimaxProblem, float]:
@@ -504,14 +475,9 @@ def make_counterexample(alpha: float, beta: float) -> tuple[QuadraticMinimaxProb
     a = 2.0 ** (-1.0 / (2.0 * alpha - 1.0))
     b = 2.0 ** (-1.0 / (2.0 * beta - 1.0))
     coupling = -(1.0 + 1.0 / a + 1.0 / b)
-    locals_ = [
-        QuadraticLocal.from_scalars(B=1.0, A=1.0, C=1.0, b=0.0, c=0.0),
-        QuadraticLocal.from_scalars(B=1.0, A=coupling, C=1.0, b=0.0, c=0.0),
-        QuadraticLocal.from_scalars(B=1.0, A=coupling, C=1.0, b=0.0, c=0.0),
-    ]
     slope = -(1.0 + a) / (a + a / b)
-    problem = QuadraticMinimaxProblem(
-        locals_,
+    problem = _scalar_problem(
+        A=[1.0, coupling, coupling], B=np.ones(3), C=np.ones(3), b=np.zeros(3), c=np.zeros(3),
         meta={"name": "counterexample", "alpha": alpha, "beta": beta, "a": a, "b": b,
               "init_slope": slope},
     )
@@ -527,11 +493,8 @@ def make_synthetic(
         raise ConfigError(f"node count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     L = rng.uniform(L_low, L_high, size=n)
-    locals_ = [
-        QuadraticLocal.from_scalars(B=1.0, A=Li, C=Li * Li, b=-2.0 * Li, c=Li) for Li in L
-    ]
-    return QuadraticMinimaxProblem(
-        locals_,
+    return _scalar_problem(
+        A=L, B=np.ones(n), C=L * L, b=-2.0 * L, c=L,
         meta={
             "name": "synthetic",
             "seed": int(seed),

@@ -1,10 +1,10 @@
 """Communication graphs, doubly-stochastic weight matrices and connectivity.
 
-Graphs are stored as receive-adjacency: ``graph.recv[i]`` is the set of
-nodes whose values node i receives each round.  Undirected kinds (ring,
-dense, complete) have symmetric adjacency; directed-ring and exponential
-are directed but keep equal in- and out-degrees, which is what makes the
-uniform weighting doubly stochastic.
+Graphs are stored as an (n, n) boolean receive-adjacency: entry (i, j)
+says that node i receives node j's values each round.  Undirected kinds
+(ring, dense, complete) have symmetric adjacency; directed-ring and
+exponential are directed but keep equal in- and out-degrees, which is
+what makes the uniform weighting doubly stochastic.
 
 The connectivity constant is ``rho_w = ||W - J||_2^2`` (squared spectral
 norm, J = ones/n).  Note that experiment write-ups conventionally quote
@@ -13,7 +13,6 @@ the unsquared norm; ``WeightMatrix.spectral_norm`` carries that value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +23,6 @@ from .errors import ConfigError, GraphConnectivityError, InvalidGraphError
 __all__ = [
     "GraphKind",
     "GraphSpec",
-    "Graph",
     "WeightMatrix",
     "build_graph",
     "metropolis_weights",
@@ -71,18 +69,6 @@ class GraphSpec:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Receive-adjacency: recv[i] lists the in-neighbors of node i (no self-loops)."""
-
-    n: int
-    recv: tuple[tuple[int, ...], ...]
-
-    def is_symmetric(self) -> bool:
-        sets = [set(r) for r in self.recv]
-        return all(i in sets[j] for i in range(self.n) for j in sets[i])
-
-
-@dataclass(frozen=True)
 class WeightMatrix:
     """Doubly-stochastic mixing matrix with its cached connectivity constant."""
 
@@ -125,126 +111,99 @@ def _dense_offsets(n: int) -> list[int]:
     return sorted(offsets)
 
 
-def build_graph(spec: GraphSpec) -> Graph:
-    """Materialize adjacency lists for a graph specification.
+def build_graph(spec: GraphSpec) -> np.ndarray:
+    """The (n, n) boolean receive-adjacency of a graph specification:
+    entry (i, j) is True when node i receives from node j.
 
     Self-loops are excluded; they enter through the weight construction.
     """
     n = spec.n
-    recv: list[set[int]] = [set() for _ in range(n)]
-
-    if spec.kind is GraphKind.RING:
-        for i in range(n):
-            recv[i].update({(i - 1) % n, (i + 1) % n})
-    elif spec.kind is GraphKind.DIRECTED_RING:
-        for i in range(n):
-            recv[i].add((i + 1) % n)
-    elif spec.kind is GraphKind.EXPONENTIAL:
-        for i in range(n):
-            for o in _exponential_offsets(n):
-                recv[i].add((i - o) % n)
-    elif spec.kind is GraphKind.DENSE:
-        for i in range(n):
-            for o in _dense_offsets(n):
-                recv[i].update({(i - o) % n, (i + o) % n})
-    elif spec.kind is GraphKind.COMPLETE:
-        for i in range(n):
-            recv[i].update(j for j in range(n) if j != i)
-    elif spec.kind is GraphKind.CUSTOM:
-        assert spec.edges is not None
-        for i, j in spec.edges:
-            if i != j:
-                recv[i].add(j)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown graph kind {spec.kind!r}")
-
-    for i in range(n):
-        recv[i].discard(i)
-    return Graph(n=n, recv=tuple(tuple(sorted(r)) for r in recv))
+    adj = np.zeros((n, n), dtype=bool)
+    if spec.kind is GraphKind.CUSTOM:
+        if spec.edges:
+            adj[tuple(np.array(spec.edges).T)] = True
+    else:
+        # node i receives from node (i + o) % n for each offset o
+        if spec.kind is GraphKind.RING:
+            offsets = [-1, 1]
+        elif spec.kind is GraphKind.DIRECTED_RING:
+            offsets = [1]
+        elif spec.kind is GraphKind.EXPONENTIAL:
+            offsets = [-o for o in _exponential_offsets(n)]
+        elif spec.kind is GraphKind.DENSE:
+            offsets = [s * o for o in _dense_offsets(n) for s in (-1, 1)]
+        else:  # complete
+            offsets = range(1, n)
+        nodes = np.arange(n)
+        for o in offsets:
+            adj[nodes, (nodes + o) % n] = True
+    np.fill_diagonal(adj, False)
+    return adj
 
 
-def is_connected(graph: Graph) -> bool:
+def is_connected(adj: np.ndarray) -> bool:
     """Breadth-first traversal on the union graph (edges of W and W^T)."""
-    n = graph.n
-    if n == 1:
-        return True
-    union: list[set[int]] = [set(r) for r in graph.recv]
-    for i in range(n):
-        for j in graph.recv[i]:
-            union[j].add(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in union[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
+    union = adj | adj.T
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = union[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
-def metropolis_weights(graph: Graph) -> WeightMatrix:
+def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
     """Symmetric doubly-stochastic weights: W_ij = 1/(1 + max(deg_i, deg_j)).
 
     Requires an undirected, connected graph.
     """
-    n = graph.n
-    sets = [set(r) for r in graph.recv]
-    for i in range(n):
-        for j in sets[i]:
-            if i not in sets[j]:
-                raise InvalidGraphError(
-                    f"metropolis weights need an undirected graph; edge {i}<-{j} has no reverse"
-                )
-    if not is_connected(graph):
+    one_way = np.argwhere(adj & ~adj.T)
+    if len(one_way):
+        i, j = one_way[0]
+        raise InvalidGraphError(
+            f"metropolis weights need an undirected graph; edge {i}<-{j} has no reverse"
+        )
+    if not is_connected(adj):
         raise GraphConnectivityError("graph is not connected")
 
-    deg = [len(s) for s in sets]
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in sets[i]:
-            W[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, i] = 1.0 - W[i].sum()
+    deg = adj.sum(axis=1)
+    i, j = np.nonzero(adj)
+    W = np.zeros(adj.shape)
+    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return WeightMatrix(W=W, rho_w=spectral_rho(W))
 
 
-def uniform_out_weights(graph: Graph) -> WeightMatrix:
+def uniform_out_weights(adj: np.ndarray) -> WeightMatrix:
     """Uniform weights 1/(d+1) on in-neighbors and self.
 
     Doubly stochastic provided every node has in-degree == out-degree == d.
     """
-    n = graph.n
-    in_deg = [len(r) for r in graph.recv]
-    out_deg = [0] * n
-    for i in range(n):
-        for j in graph.recv[i]:
-            out_deg[j] += 1
-    degrees = set(in_deg) | set(out_deg)
-    if len(degrees) != 1:
+    in_deg, out_deg = adj.sum(axis=1), adj.sum(axis=0)
+    if (in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any():
         raise InvalidGraphError(
-            f"uniform weighting needs equal in/out degrees, got in={in_deg} out={out_deg}"
+            "uniform weighting needs equal in/out degrees, "
+            f"got in={in_deg.tolist()} out={out_deg.tolist()}"
         )
-    if not is_connected(graph):
+    if not is_connected(adj):
         raise GraphConnectivityError("graph is not connected")
 
-    d = in_deg[0]
-    W = np.zeros((n, n))
-    for i in range(n):
-        W[i, i] = 1.0 / (d + 1)
-        for j in graph.recv[i]:
-            W[i, j] = 1.0 / (d + 1)
+    w = 1.0 / (in_deg[0] + 1)
+    W = adj * w
+    np.fill_diagonal(W, w)
     return WeightMatrix(W=W, rho_w=spectral_rho(W))
 
 
 def weights_for(spec: GraphSpec) -> WeightMatrix:
-    """Default weight scheme per kind: Metropolis for undirected graphs,
-    uniform for the directed constructions."""
-    graph = build_graph(spec)
-    if spec.kind in (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL):
-        return uniform_out_weights(graph)
-    if spec.kind is GraphKind.CUSTOM:
-        return metropolis_weights(graph) if graph.is_symmetric() else uniform_out_weights(graph)
-    return metropolis_weights(graph)
+    """Default weight scheme per kind: uniform for the directed graphs and
+    the complete graph (whose W is then exactly J = ones/n), Metropolis
+    for the other undirected ones."""
+    adj = build_graph(spec)
+    uniform = (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL, GraphKind.COMPLETE)
+    if spec.kind in uniform or not np.array_equal(adj, adj.T):
+        return uniform_out_weights(adj)
+    return metropolis_weights(adj)
 
 
 def spectral_rho(W: np.ndarray) -> float:

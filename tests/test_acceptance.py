@@ -406,15 +406,14 @@ def test_criterion_7_oracle_suite():
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         i = seed % 2
-        loc = prob.locals[i]
         gx, gy = np.split(grads_at(prob, x, y)[i], [2])
         gphi = prob.grad_phi(x)
         scale = max(1.0, np.abs(gx).max(), np.abs(gy).max(), np.abs(gphi).max())
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fdx = (local_value(loc, x + e, y) - local_value(loc, x - e, y)) / (2 * h)
-            fdy = (local_value(loc, x, y + e) - local_value(loc, x, y - e)) / (2 * h)
+            fdx = (local_value(prob, i, x + e, y) - local_value(prob, i, x - e, y)) / (2 * h)
+            fdy = (local_value(prob, i, x, y + e) - local_value(prob, i, x, y - e)) / (2 * h)
             fdp = (phi(prob, x + e) - phi(prob, x - e)) / (2 * h)
             worst_fd = max(
                 worst_fd,
@@ -446,8 +445,7 @@ def test_criterion_7_oracle_suite():
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
         y2 = rng.standard_normal(2)
-        loc = prob.locals[i]
-        lhs = local_value(loc, x, y) - local_value(loc, x, y2)
+        lhs = local_value(prob, i, x, y) - local_value(prob, i, x, y2)
         gy = grads_at(prob, x, y)[i, 2:]
         rhs = gy @ (y - y2) + 0.5 * prob.mu * np.sum((y - y2) ** 2)
         worst_sc = max(worst_sc, rhs - lhs)

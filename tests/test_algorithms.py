@@ -15,18 +15,16 @@ from adast.problems import (
     ALL,
     NoiseModel,
     ProjectionSet,
-    QuadraticLocal,
     QuadraticMinimaxProblem,
     make_counterexample,
     make_two_node_case_study,
 )
 from adast.topology import GraphKind, GraphSpec, weights_for
-from conftest import grads_at, make_random_problem
+from conftest import grads_at, make_random_problem, scalar_problem
 
 
 def _scalar_problem(B, A, C, b, c, n=1):
-    locs = [QuadraticLocal.from_scalars(B=B, A=A, C=C, b=b, c=c) for _ in range(n)]
-    return QuadraticMinimaxProblem(locs)
+    return scalar_problem(A=[A] * n, B=[B] * n, C=[C] * n, b=[b] * n, c=[c] * n)
 
 
 def _records_equal(r1, r2):
@@ -171,11 +169,7 @@ def test_dsgda_zero_gradient_consensual_fixed_point():
 
 def test_dsgda_opposite_gradients_cancel_in_average():
     # b = (+1, -1): x-gradients are opposite at consensual points; W = J
-    locs = [
-        QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=1.0, c=0.0),
-        QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=-1.0, c=0.0),
-    ]
-    p = QuadraticMinimaxProblem(locs)
+    p = scalar_problem(A=[0.0, 0.0], B=[1.0, 1.0], C=[0.0, 0.0], b=[1.0, -1.0], c=[0.0, 0.0])
     W = np.full((2, 2), 0.5)
     cfg = AlgoConfig(algo="d-sgda", gamma_x=0.2, gamma_y=0.2, K=7)
     trace = run(p, W, cfg, x0=0.5, y0=0.0, trace_stride=1)
@@ -266,11 +260,8 @@ def test_dadast_uniform_network_matches_centralized_trajectory():
 def test_dadast_tracking_mix_two_nodes():
     # squared first gradients 4 and 2 with c0 = 1 and W = J: both nodes'
     # accumulators land on the global average (1+4+1+2)/2 = 4
-    locs = [
-        QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=2.0, c=0.0),
-        QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=np.sqrt(2.0), c=0.0),
-    ]
-    p = QuadraticMinimaxProblem(locs)
+    p = scalar_problem(A=[0.0, 0.0], B=[1.0, 1.0], C=[0.0, 0.0], b=[2.0, np.sqrt(2.0)],
+                       c=[0.0, 0.0])
     W = np.full((2, 2), 0.5)
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, c0=1.0, K=1)
     trace = run(p, W, cfg, x0=0.0, y0=0.0, trace_stride=1)
@@ -365,11 +356,10 @@ def test_coordinate_scalar_psi_normalization_difference():
 
 def test_coordinate_zero_coordinate_accumulator_untouched():
     # second x-coordinate has identically zero gradient at n = 1
-    loc = QuadraticLocal(
-        B=np.eye(1), A=np.zeros((2, 1)), C=np.zeros((2, 2)),
-        b=np.array([1.0, 0.0]), c=np.zeros(1),
+    p = QuadraticMinimaxProblem(
+        A=np.zeros((1, 2, 1)), B=np.eye(1)[None], C=np.zeros((1, 2, 2)),
+        b=np.array([[1.0, 0.0]]), c=np.zeros((1, 1)),
     )
-    p = QuadraticMinimaxProblem([loc])
     cfg = AlgoConfig(algo="d-adast-coord", gamma_x=0.1, gamma_y=0.1, c0=0.5, K=3)
     trace = run(p, np.ones((1, 1)), cfg, x0=0.0, y0=0.0, trace_stride=1)
     assert trace.final_state.Mx[0, 1] == pytest.approx(0.5, rel=1e-15)
@@ -379,13 +369,11 @@ def test_coordinate_zero_coordinate_accumulator_untouched():
 def test_coordinate_duplicated_coordinates_reduce_to_scalar_case():
     # duplicating the coordinate structure leaves each coordinate on the
     # p = 1 trajectory (the norm scaling cancels inside psi)
-    loc1 = QuadraticLocal.from_scalars(B=1.0, A=0.7, C=0.4, b=-0.5, c=0.3)
-    p1 = QuadraticMinimaxProblem([loc1, loc1])
-    loc2 = QuadraticLocal(
-        B=np.eye(2), A=0.7 * np.eye(2), C=0.4 * np.eye(2),
-        b=np.array([-0.5, -0.5]), c=np.array([0.3, 0.3]),
+    p1 = scalar_problem(A=[0.7, 0.7], B=[1.0, 1.0], C=[0.4, 0.4], b=[-0.5, -0.5], c=[0.3, 0.3])
+    p2 = QuadraticMinimaxProblem(
+        A=np.stack([0.7 * np.eye(2)] * 2), B=np.stack([np.eye(2)] * 2),
+        C=np.stack([0.4 * np.eye(2)] * 2), b=np.full((2, 2), -0.5), c=np.full((2, 2), 0.3),
     )
-    p2 = QuadraticMinimaxProblem([loc2, loc2])
     W = np.full((2, 2), 0.5)
     kw = dict(gamma_x=0.2, gamma_y=0.2, alpha=0.6, beta=0.4, c0=1e-6, K=40)
     t1 = run(p1, W, AlgoConfig(algo="d-adast-coord", **kw), x0=1.0, y0=0.5, trace_stride=1)
@@ -545,11 +533,10 @@ def test_run_large_finite_state_does_not_abort():
 
 def test_run_finite_state_whose_sum_overflows_does_not_abort():
     # two finite 1e308 entries in X sum to inf; only a non-finite entry aborts
-    loc = QuadraticLocal(B=np.eye(1), A=np.zeros((2, 1)), C=np.zeros((2, 2)), b=np.zeros(2),
-                         c=np.zeros(1))
+    p = QuadraticMinimaxProblem(A=np.zeros((1, 2, 1)), B=np.eye(1)[None], C=np.zeros((1, 2, 2)),
+                                b=np.zeros((1, 2)), c=np.zeros((1, 1)))
     cfg = AlgoConfig(algo="d-sgda", gamma_x=0.1, gamma_y=0.1, K=5)
-    trace = run(QuadraticMinimaxProblem([loc]), np.ones((1, 1)), cfg, x0=[1e308, 1e308],
-                trace_stride=1)
+    trace = run(p, np.ones((1, 1)), cfg, x0=[1e308, 1e308], trace_stride=1)
     assert not trace.aborted
     assert np.all(trace.final_state.X == 1e308)
 

@@ -18,6 +18,7 @@ from adast.harness import (
 from adast.metrics import TRACE_HEADER
 from adast.problems import GradientStream, NoiseModel, QuadraticMinimaxProblem, make_synthetic
 from adast.topology import GraphKind, GraphSpec, weights_for
+from conftest import make_random_problem
 
 
 def _mini_case_study(K=50, stride=10, out_dir=None, algos=("d-sgda", "d-tiada", "d-adast")):
@@ -438,6 +439,50 @@ def test_cli_run_custom_start_and_manifest_note(tmp_path, capsys):
     assert man["init_x0"] == [[1.0 + 0.01 * i] for i in range(4)]
     assert man["init_y0"] == [[-1.0 + 0.01 * i] for i in range(4)]
     assert man["noise"]["kind"] == "none"
+
+
+# case -> (the file's text, None for no file, or (node i, key, value) to
+# set in a valid 3-node problem, value None deleting the key; the part of
+# the message naming the node at fault, or None where no node is)
+_BAD_PROBLEM_FILES = {
+    "missing-file": (None, None),
+    "invalid-json": ("{not json", None),
+    "no-locals": ('{"p": 2, "d": 2, "n": 3}', None),
+    "meta-not-object": ('{"locals": [{"A": [[0]], "B": [[1]], "C": [[0]], "b": [0], "c": [0]}], '
+                        '"meta": [1, 2]}', None),
+    "node-without-B": ((1, "B", None), "node 1"),
+    "non-numeric": ((2, "A", [["x", 0.0], [0.0, 1.0]]), "A[2]"),
+    "wrong-shape": ((1, "B", [[1.0]]), "B[1]"),
+    "asymmetric-C": ((2, "C", [[1.0, 0.5], [-0.5, 1.0]]), "C[2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROBLEM_FILES))
+def test_cli_run_malformed_problem_json_exits_2(tmp_path, capsys, case):
+    content, names = _BAD_PROBLEM_FILES[case]
+    problem_json = tmp_path / "problem.json"
+    if isinstance(content, tuple):
+        doc = make_random_problem(n=3, p=2, d=2, seed=0).to_dict()
+        i, key, value = content
+        if value is None:
+            del doc["locals"][i][key]
+        else:
+            doc["locals"][i][key] = value
+        content = json.dumps(doc)
+    if content is not None:
+        problem_json.write_text(content)
+    out = tmp_path / "out"
+    rc = cli_main([
+        "run", "--experiment", "custom", "--problem-json", str(problem_json),
+        "--topology", "ring", "--n", "3", "--algos", "d-adast", "--K", "10",
+        "--out-dir", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    if names is not None:
+        assert names in err
+    assert not out.exists()
 
 
 def test_cli_sweep_empty_grid(tmp_path):

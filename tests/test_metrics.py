@@ -12,10 +12,9 @@ from adast.metrics import (
     zeta_hat_series,
     zeta_series,
 )
-from adast.problems import NoiseModel, QuadraticLocal, QuadraticMinimaxProblem, \
-    make_two_node_case_study
+from adast.problems import NoiseModel, make_two_node_case_study
 from adast.topology import GraphKind, GraphSpec, weights_for
-from conftest import make_random_problem, phi
+from conftest import make_random_problem, phi, scalar_problem
 
 
 def _zeta(V, expo):
@@ -92,11 +91,8 @@ def test_grad_phi_sq_examples():
     case = make_two_node_case_study()
     for x in (0.0, 1.0, -2.5):
         assert grad_phi_sq(case, np.array([x])) <= 1e-24
-    locs = [
-        QuadraticLocal.from_scalars(B=1.0, A=1.5, C=1.5**2, b=-3.0, c=1.5),
-        QuadraticLocal.from_scalars(B=1.0, A=2.5, C=2.5**2, b=-5.0, c=2.5),
-    ]
-    pair = QuadraticMinimaxProblem(locs)
+    pair = scalar_problem(A=[1.5, 2.5], B=[1.0, 1.0], C=[1.5**2, 2.5**2], b=[-3.0, -5.0],
+                          c=[1.5, 2.5])
     assert grad_phi_sq(pair, np.array([0.0])) == pytest.approx(0.0, abs=1e-24)
     assert grad_phi_sq(pair, np.array([1.0])) == pytest.approx(0.0625)
 

@@ -11,7 +11,6 @@ from adast.problems import (
     GradientStream,
     NoiseModel,
     ProjectionSet,
-    QuadraticLocal,
     QuadraticMinimaxProblem,
     make_counterexample,
     make_synthetic,
@@ -19,7 +18,15 @@ from adast.problems import (
     project,
     sample_grad_block,
 )
-from conftest import grads_at, local_grads, local_value, make_random_problem, node_sample, phi
+from conftest import (
+    grads_at,
+    local_grads,
+    local_value,
+    make_random_problem,
+    node_sample,
+    phi,
+    scalar_problem,
+)
 
 
 # ---------------------------------------------------------------- case study
@@ -35,8 +42,8 @@ def test_case_study_gradients_at_origin():
 
 def test_case_study_values_and_heterogeneity():
     p = make_two_node_case_study()
-    assert local_value(p.locals[0], [1.0], [1.0]) == pytest.approx(-0.35)
-    assert local_value(p.locals[1], [1.0], [1.0]) == pytest.approx(-0.85)
+    assert local_value(p, 0, [1.0], [1.0]) == pytest.approx(-0.35)
+    assert local_value(p, 1, [1.0], [1.0]) == pytest.approx(-0.85)
     assert p.mu == pytest.approx(0.9)
 
 
@@ -85,11 +92,8 @@ def test_counterexample_rejects_bad_exponents(alpha, beta):
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_forced_pair_closed_forms():
-    locs = [
-        QuadraticLocal.from_scalars(B=1.0, A=1.5, C=1.5**2, b=-3.0, c=1.5),
-        QuadraticLocal.from_scalars(B=1.0, A=2.5, C=2.5**2, b=-5.0, c=2.5),
-    ]
-    p = QuadraticMinimaxProblem(locs)
+    p = scalar_problem(A=[1.5, 2.5], B=[1.0, 1.0], C=[1.5**2, 2.5**2], b=[-3.0, -5.0],
+                       c=[1.5, 2.5])
     assert p.y_star([1.0])[0] == pytest.approx(4.0)  # y*(x) = 2(x+1)
     assert p.grad_phi([0.0])[0] == pytest.approx(0.0)
     x_star, y_star = p.stationary_point()
@@ -99,8 +103,7 @@ def test_synthetic_forced_pair_closed_forms():
 
 def test_synthetic_equal_L_degenerate():
     L = 1.7
-    locs = [QuadraticLocal.from_scalars(B=1.0, A=L, C=L * L, b=-2 * L, c=L) for _ in range(3)]
-    p = QuadraticMinimaxProblem(locs)
+    p = scalar_problem(A=[L] * 3, B=[1.0] * 3, C=[L * L] * 3, b=[-2 * L] * 3, c=[L] * 3)
     for x in (-2.0, 0.0, 5.0):
         assert p.grad_phi([x])[0] == pytest.approx(L * L - 2 * L)
 
@@ -119,14 +122,13 @@ def test_make_synthetic_seeded():
 # ------------------------------------------------------------------ gradients
 
 def test_trivial_gradients():
-    z = QuadraticLocal.from_scalars(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0)
-    p = QuadraticMinimaxProblem([z])
+    p = scalar_problem(A=[0.0], B=[1.0], C=[0.0], b=[0.0], c=[0.0])
     assert grads_at(p, [3.0], [5.0])[0, :1] == pytest.approx([0.0])
     d = 3
-    identity_B = QuadraticLocal(
-        B=np.eye(d), A=np.zeros((2, d)), C=np.zeros((2, 2)), b=np.zeros(2), c=np.zeros(d)
+    p2 = QuadraticMinimaxProblem(
+        A=np.zeros((1, 2, d)), B=np.eye(d)[None], C=np.zeros((1, 2, 2)), b=np.zeros((1, 2)),
+        c=np.zeros((1, d)),
     )
-    p2 = QuadraticMinimaxProblem([identity_B])
     e1 = np.array([1.0, 0.0, 0.0])
     assert grads_at(p2, np.zeros(2), e1)[0, 2:] == pytest.approx(-e1)
 
@@ -144,9 +146,8 @@ def test_dimension_and_index_contracts():
 
 
 def test_non_pd_B_rejected():
-    bad = QuadraticLocal.from_scalars(B=-1.0, A=0.0, C=0.0, b=0.0, c=0.0)
     with pytest.raises(ConfigError):
-        QuadraticMinimaxProblem([bad])
+        scalar_problem(A=[0.0], B=[-1.0], C=[0.0], b=[0.0], c=[0.0])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -157,18 +158,17 @@ def test_finite_difference_gradients(seed):
     x = rng.standard_normal(2)
     y = rng.standard_normal(3)
     i = seed % prob.n
-    loc = prob.locals[i]
     h = 1e-5
     gx, gy = np.split(grads_at(prob, x, y)[i], [2])
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd = (local_value(loc, x + e, y) - local_value(loc, x - e, y)) / (2 * h)
+        fd = (local_value(prob, i, x + e, y) - local_value(prob, i, x - e, y)) / (2 * h)
         assert fd == pytest.approx(gx[j], rel=1e-6, abs=1e-8)
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (local_value(loc, x, y + e) - local_value(loc, x, y - e)) / (2 * h)
+        fd = (local_value(prob, i, x, y + e) - local_value(prob, i, x, y - e)) / (2 * h)
         assert fd == pytest.approx(gy[j], rel=1e-6, abs=1e-8)
 
 
@@ -195,8 +195,7 @@ def test_strong_concavity_inequality(seed):
         x = rng.standard_normal(2)
         y = rng.standard_normal(3)
         y2 = rng.standard_normal(3)
-        loc = prob.locals[i]
-        lhs = local_value(loc, x, y) - local_value(loc, x, y2)
+        lhs = local_value(prob, i, x, y) - local_value(prob, i, x, y2)
         gy = grads_at(prob, x, y)[i, 2:]
         rhs = gy @ (y - y2) + 0.5 * prob.mu * np.sum((y - y2) ** 2)
         assert lhs >= rhs - 1e-9
@@ -350,7 +349,7 @@ def test_sample_grads_block_matches_per_node():
         G = sample_grad_block(prob, XY, noise, stream, k=9)
         for i in range(4):
             gx, gy = node_sample(prob, i, X[i], Y[i], noise, stream, k=9)
-            ex, ey = local_grads(prob.locals[i], X[i], Y[i])
+            ex, ey = local_grads(prob, i, X[i], Y[i])
             if noise.kind == "gaussian":
                 # identical noise stream per node; gradient bases agree to rounding
                 assert np.array_equal(G[i, :2] - E[i, :2], gx - ex)

@@ -26,18 +26,18 @@ def svd_rho(W: np.ndarray) -> float:
 def test_ring3_neighbors_all_others():
     g = build_graph(GraphSpec(n=3, kind=GraphKind.RING))
     for i in range(3):
-        assert set(g.recv[i]) == {j for j in range(3) if j != i}
+        assert set(np.flatnonzero(g[i])) == {j for j in range(3) if j != i}
 
 
 def test_complete4_degree():
     g = build_graph(GraphSpec(n=4, kind=GraphKind.COMPLETE))
-    assert all(len(g.recv[i]) == 3 for i in range(4))
+    assert all(len(np.flatnonzero(g[i])) == 3 for i in range(4))
 
 
 def test_exponential4_out_neighbors():
     # offsets 2^0, 2^1: node 0 sends to nodes 1 and 2
     g = build_graph(GraphSpec(n=4, kind=GraphKind.EXPONENTIAL))
-    out0 = [i for i in range(4) if 0 in g.recv[i]]
+    out0 = [i for i in range(4) if 0 in np.flatnonzero(g[i])]
     assert out0 == [1, 2]
 
 
@@ -99,6 +99,24 @@ def test_uniform_exponential_small():
     wm50 = uniform_out_weights(build_graph(GraphSpec(n=50, kind=GraphKind.EXPONENTIAL)))
     # reported connectivity figure for the 50-node exponential graph
     assert wm50.spectral_norm == pytest.approx(0.71, abs=0.02)
+
+
+def test_custom_edge_lists():
+    # a self-loop and a duplicate edge are dropped: the path 0 - 1 - 2
+    path = GraphSpec(n=3, kind=GraphKind.CUSTOM,
+                     edges=((0, 0), (0, 1), (0, 1), (1, 0), (1, 2), (2, 1)))
+    g = build_graph(path)
+    assert g.dtype == bool and g.sum() == 4
+    assert [np.flatnonzero(g[i]).tolist() for i in range(3)] == [[1], [0, 2], [1]]
+    # a symmetric edge list takes Metropolis weights
+    wm = weights_for(path)
+    assert np.array_equal(wm.W, metropolis_weights(g).W)
+    assert wm.W == pytest.approx(np.array([[2, 1, 0], [1, 1, 1], [0, 1, 2]]) / 3.0, abs=1e-15)
+    # a balanced directed edge list takes uniform weights: the cycle 0 <- 2 <- 1 <- 0
+    cycle = GraphSpec(n=3, kind=GraphKind.CUSTOM, edges=((0, 2), (2, 1), (1, 0)))
+    wm = weights_for(cycle)
+    assert np.array_equal(wm.W, uniform_out_weights(build_graph(cycle)).W)
+    assert np.array_equal(wm.W, [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
 
 def test_uniform_rejects_unequal_degrees():
@@ -163,6 +181,7 @@ def test_validation_report():
         (GraphKind.EXPONENTIAL, 17),
         (GraphKind.DENSE, 8),
         (GraphKind.DENSE, 20),
+        (GraphKind.COMPLETE, 3),
         (GraphKind.COMPLETE, 6),
     ],
 )
@@ -173,6 +192,34 @@ def test_all_weightings_doubly_stochastic_and_contractive(kind, n):
     assert wm.rho_w < 1.0
     if kind is not GraphKind.COMPLETE and n >= 4:
         assert wm.rho_w > 0.0
+    if kind is GraphKind.COMPLETE:
+        # equal in- and out-degrees: uniform weights, which are exactly J
+        assert np.array_equal(wm.W, np.full((n, n), 1.0 / n))
+        assert wm.rho_w == 0.0
+
+
+def _loop_weights(adj: np.ndarray, metropolis: bool) -> np.ndarray:
+    """The weights written node by node from the in-neighbour lists: the
+    reference for the vectorised constructions."""
+    n = len(adj)
+    nbrs = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in nbrs[i]:
+            W[i, j] = (1.0 / (1.0 + max(len(nbrs[i]), len(nbrs[j]))) if metropolis
+                       else 1.0 / (len(nbrs[i]) + 1))
+        W[i, i] = 1.0 - W[i].sum() if metropolis else 1.0 / (len(nbrs[i]) + 1)
+    return W
+
+
+@pytest.mark.parametrize("n", [2, 5, 37, 100, 129])
+def test_weights_equal_the_node_by_node_construction(n):
+    for kind in (GraphKind.RING, GraphKind.DENSE, GraphKind.COMPLETE):
+        adj = build_graph(GraphSpec(n=n, kind=kind))
+        assert np.array_equal(metropolis_weights(adj).W, _loop_weights(adj, True))
+    for kind in (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL, GraphKind.COMPLETE):
+        adj = build_graph(GraphSpec(n=n, kind=kind))
+        assert np.array_equal(uniform_out_weights(adj).W, _loop_weights(adj, False))
 
 
 def test_metropolis_symmetry():
@@ -184,8 +231,8 @@ def test_metropolis_symmetry():
 def test_dense_graph_degree_target():
     for n in (8, 10, 20):
         g = build_graph(GraphSpec(n=n, kind=GraphKind.DENSE))
-        assert all(len(g.recv[i]) >= n // 2 for i in range(n))
-        assert g.is_symmetric()
+        assert all(len(np.flatnonzero(g[i])) >= n // 2 for i in range(n))
+        assert np.array_equal(g, g.T)
 
 
 def test_single_node_graph():

@@ -9,8 +9,9 @@ directory that holds ``adast/``) on a fixed list of experiments: trace
 CSVs of the case study, of the counterexample at two starts, of a noisy
 synthetic run and of a coordinate-wise run; a custom sweep on a 60-node
 ring and a counterexample exponent sweep with their ``sweep.csv``; two
-``adast counterexample`` reports; and two ``adast spectral`` lines.  Each
-lands in its own subdirectory of OUT_DIR.
+``adast counterexample`` reports; and five ``adast spectral`` lines, one
+per graph kind the command line can build.  Each lands in its own
+subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -98,7 +99,8 @@ def write_set(src: Path, out: Path) -> None:
         _adast(src, ["counterexample", "--alpha", alpha, "--beta", beta, "--x0", x0,
                      "--K", K, "--out", str(out / "reports" / f"ce-{alpha}-{beta}-{x0}-{K}.json")])
     (out / "spectral").mkdir(exist_ok=True)
-    for kind, n in (("exponential", "50"), ("ring", "400")):
+    for kind, n in (("exponential", "50"), ("ring", "400"), ("directed-ring", "50"),
+                    ("dense", "50"), ("complete", "3")):
         line = _adast(src, ["spectral", "--topology", kind, "--n", n])
         (out / "spectral" / f"{kind}-{n}.json").write_text(line)
 
