@@ -401,9 +401,10 @@ class _Stepper:
 
     def _coord_stepsizes(self, D: np.ndarray) -> None:
         mx, my, al = self.mx, self.my, self.alpha
+        # row norms as np.linalg.norm computes them, without its dispatch
         self.psi[:, :self.p] = _psi(
-            np.linalg.norm(mx, axis=1) ** (2 * al),
-            np.linalg.norm(my, axis=1) ** (2 * al),
+            np.sqrt(np.add.reduce(mx * mx, axis=1)) ** (2 * al),
+            np.sqrt(np.add.reduce(my * my, axis=1)) ** (2 * al),
         )[:, None]
         np.multiply(self.coef, self.psi, out=self.S)
         self.S *= _neg_pow(self.M_read, self.neg_expo)

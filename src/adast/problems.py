@@ -237,13 +237,23 @@ class QuadraticMinimaxProblem:
     @classmethod
     def from_dict(cls, doc: dict) -> "QuadraticMinimaxProblem":
         """The problem of a ``to_dict`` document; a malformed one raises
-        ConfigError naming the node at fault."""
+        ConfigError naming the node at fault.
+
+        The coefficients under ``locals`` define the problem.  A given
+        ``n``, ``p`` or ``d`` must agree with them, or ConfigError names
+        the field; ``mu`` and ``L`` are not read but recomputed.
+        """
         try:
             nodes, meta = list(doc["locals"]), dict(doc.get("meta") or {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("problem JSON needs a 'locals' list of per-node coefficients "
                               "and, if any, a 'meta' object") from exc
-        return cls(*(_node_stack(nodes, key) for key in "ABCbc"), meta=meta)
+        problem = cls(*(_node_stack(nodes, key) for key in "ABCbc"), meta=meta)
+        for key in ("n", "p", "d"):
+            if key in doc and doc[key] != getattr(problem, key):
+                raise ConfigError(f"problem JSON gives {key!r} = {doc[key]!r}, but its "
+                                  f"locals make {key} = {getattr(problem, key)}")
+        return problem
 
 
 @dataclass(frozen=True)
@@ -386,44 +396,53 @@ class GradientStream:
     node i's value depends only on (seed, n, dim, i, k, axis), and not on
     the horizon, the order of reads, the chunking or the thread count.
 
-    The words are drawn a chunk of iterations at a time: one chunk per
-    (axis, n, dim), of at most CHUNK_DOUBLES doubles or a single
-    iteration, refilled when k leaves it.
+    The words are drawn a chunk of iterations at a time, by ``_block``
+    alone: one chunk per (n, axes, scale), of at most CHUNK_DOUBLES words
+    over its axes or a single iteration, refilled when k leaves it.  A
+    chunk row holds the axes side by side, already scaled, so a run's
+    noise is one read-only (n, p + d) row per iteration.
     """
 
     VERSION = 2
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._chunks: dict[tuple[int, int, int], tuple[int, np.ndarray]] = {}
+        self._chunks: dict[tuple, tuple[int, np.ndarray]] = {}
 
     def normal_block(self, k: int, axis: int, n: int, dim: int) -> np.ndarray:
         """The read-only (n, dim) standard normals of iteration k on axis."""
-        cached = self._chunks.get((axis, n, dim))
+        return self._block(k, n, ((axis, dim),), 1.0)
+
+    def noise_block(self, k: int, sigma: float, n: int, p: int, d: int) -> np.ndarray:
+        """The read-only (n, p + d) noise [sigma z_x | sigma z_y] of iteration
+        k, where z_x and z_y are ``normal_block(k, X_AXIS, n, p)`` and
+        ``normal_block(k, Y_AXIS, n, d)``, each entry the same double."""
+        return self._block(k, n, ((X_AXIS, p), (Y_AXIS, d)), sigma)
+
+    def _block(self, k: int, n: int, axes: tuple[tuple[int, int], ...],
+               scale: float) -> np.ndarray:
+        """Iteration k's row of the chunk that holds, for each (axis, dim) of
+        axes in turn, scale times that axis's (n, dim) normals."""
+        key = (n, axes, scale)
+        cached = self._chunks.get(key)
         if cached is not None:
-            k0, blocks = cached
-            if 0 <= k - k0 < len(blocks):
-                return blocks[k - k0]
-        B = -(-n * dim // 4) * 4
-        C = max(1, CHUNK_DOUBLES // B)
+            k0, chunk = cached
+            if 0 <= k - k0 < len(chunk):
+                return chunk[k - k0]
+        sizes = [-(-n * dim // 4) * 4 for _, dim in axes]
+        C = max(1, CHUNK_DOUBLES // sum(sizes))
         k0 = k - k % C
-        bitgen = np.random.Philox(key=[self.seed, axis], counter=k0 * B // 4)
-        z = _box_muller(bitgen.random_raw(C * B)).reshape(C, B)
-        blocks = z[:, :n * dim].reshape(C, n, dim)
-        blocks.flags.writeable = False
-        self._chunks[(axis, n, dim)] = (k0, blocks)
-        return blocks[k - k0]
-
-
-def _apply_noise(
-    G: np.ndarray, noise: NoiseModel, stream: GradientStream, k: int, axis: int
-) -> None:
-    """Add (and clip) the noise of one axis in place; G is that axis's (n, dim) view."""
-    n, dim = G.shape
-    G += noise.sigma * stream.normal_block(k, axis, n, dim)
-    if noise.kind == "gaussian-clipped":
-        norms = np.linalg.norm(G, axis=-1, keepdims=True)
-        G *= np.where(norms > noise.clip, noise.clip / np.maximum(norms, 1e-300), 1.0)
+        chunk = np.empty((C, n, sum(dim for _, dim in axes)))
+        at = 0
+        for (axis, dim), B in zip(axes, sizes):
+            bitgen = np.random.Philox(key=[self.seed, axis], counter=k0 * B // 4)
+            z = _box_muller(bitgen.random_raw(C * B)).reshape(C, B)
+            chunk[:, :, at:at + dim] = z[:, :n * dim].reshape(C, n, dim)
+            at += dim
+        chunk *= scale
+        chunk.flags.writeable = False
+        self._chunks[key] = (k0, chunk)
+        return chunk[k - k0]
 
 
 def sample_grad_block(
@@ -434,11 +453,16 @@ def sample_grad_block(
     k: int,
 ) -> np.ndarray:
     """Stochastic gradients [GX | GY] (n, p+d) for all nodes at iteration k,
-    at the stacked iterate block XY = [X | Y]."""
+    at the stacked iterate block XY = [X | Y]; clipped noise bounds the
+    norm of each node's GX and GY on its own."""
     G = problem.grads_block(XY)
     if noise.kind != "none":
-        _apply_noise(G[:, :problem.p], noise, stream, k, X_AXIS)
-        _apply_noise(G[:, problem.p:], noise, stream, k, Y_AXIS)
+        p = problem.p
+        G += stream.noise_block(k, noise.sigma, problem.n, p, problem.d)
+        if noise.kind == "gaussian-clipped":
+            for side in (G[:, :p], G[:, p:]):
+                norms = np.linalg.norm(side, axis=-1, keepdims=True)
+                side *= np.where(norms > noise.clip, noise.clip / np.maximum(norms, 1e-300), 1.0)
     return G
 
 

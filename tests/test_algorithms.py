@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adast.algorithms import (
     AbortInfo,
@@ -20,7 +22,7 @@ from adast.problems import (
     make_two_node_case_study,
 )
 from adast.topology import GraphKind, GraphSpec, weights_for
-from conftest import grads_at, make_random_problem, scalar_problem
+from conftest import grads_at, make_random_problem, scalar_problem, sinkhorn_doubly_stochastic
 
 
 def _scalar_problem(B, A, C, b, c, n=1):
@@ -71,6 +73,22 @@ def test_mix_preserves_average_and_reaches_consensus():
     for _ in range(400):
         V = mix(W, V)
     assert np.allclose(V, V.mean(axis=0), atol=1e-10)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), cols=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.integers(-3, 3))
+def test_mix_conserves_column_means_on_both_paths(n, cols, seed, scale):
+    from adast.algorithms import _Gather
+
+    W = sinkhorn_doubly_stochastic(n, seed)
+    rng = np.random.default_rng(seed)
+    V = (rng.standard_normal((n, cols)) + 10.0 * rng.standard_normal(cols)) * 10.0**scale
+    mean = V.mean(axis=0)
+    # two n-term means and one add, each rounding at most n eps max|V|
+    tol = 4 * n * np.finfo(float).eps * np.abs(V).max()
+    for Wm in (W, _Gather(W, n)):
+        assert np.abs(mix(Wm, V).mean(axis=0) - mean).max() <= tol
 
 
 def _sparse_doubly_stochastic(n, seed, symmetric=False):

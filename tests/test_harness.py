@@ -442,8 +442,9 @@ def test_cli_run_custom_start_and_manifest_note(tmp_path, capsys):
 
 
 # case -> (the file's text, None for no file, or (node i, key, value) to
-# set in a valid 3-node problem, value None deleting the key; the part of
-# the message naming the node at fault, or None where no node is)
+# set in a valid 3-node problem with p = d = 2, value None deleting the key
+# and node None setting a top-level field; the part of the message naming
+# the node or field at fault, or None where none is)
 _BAD_PROBLEM_FILES = {
     "missing-file": (None, None),
     "invalid-json": ("{not json", None),
@@ -454,6 +455,9 @@ _BAD_PROBLEM_FILES = {
     "non-numeric": ((2, "A", [["x", 0.0], [0.0, 1.0]]), "A[2]"),
     "wrong-shape": ((1, "B", [[1.0]]), "B[1]"),
     "asymmetric-C": ((2, "C", [[1.0, 0.5], [-0.5, 1.0]]), "C[2]"),
+    "n-disagrees": ((None, "n", 5), "'n' = 5"),
+    "p-disagrees": ((None, "p", 7), "'p' = 7"),
+    "d-disagrees": ((None, "d", 1), "'d' = 1"),
 }
 
 
@@ -464,10 +468,11 @@ def test_cli_run_malformed_problem_json_exits_2(tmp_path, capsys, case):
     if isinstance(content, tuple):
         doc = make_random_problem(n=3, p=2, d=2, seed=0).to_dict()
         i, key, value = content
+        fields = doc if i is None else doc["locals"][i]
         if value is None:
-            del doc["locals"][i][key]
+            del fields[key]
         else:
-            doc["locals"][i][key] = value
+            fields[key] = value
         content = json.dumps(doc)
     if content is not None:
         problem_json.write_text(content)

@@ -8,6 +8,8 @@ from adast.algorithms import AlgoConfig, run
 from adast.errors import ConfigError
 from adast.problems import (
     ALL,
+    X_AXIS,
+    Y_AXIS,
     GradientStream,
     NoiseModel,
     ProjectionSet,
@@ -295,22 +297,88 @@ def _reference_block(seed, k, axis, n, dim):
     return z.reshape(-1)[: n * dim].reshape(n, dim)
 
 
+# iterations read forward, back, far ahead and across chunk boundaries
+_KS = [0, 1, 2, 9, 400, 401, 3, 0, 1000, 999, 64, 5]
+
+
 @pytest.mark.parametrize("n,dim", [(50, 1), (3, 2), (7, 3), (700, 40)])
 def test_stream_chunks_equal_single_iteration_draws(monkeypatch, n, dim):
     import adast.problems as problems
 
-    ks = [0, 1, 2, 9, 400, 401, 3, 0, 1000, 999, 64, 5]
     cold = GradientStream(2024)
-    got = [cold.normal_block(k, 1, n, dim).copy() for k in ks]
+    got = [cold.normal_block(k, 1, n, dim).copy() for k in _KS]
     monkeypatch.setattr(problems, "CHUNK_DOUBLES", 1)
     single = GradientStream(2024)
-    for k, block in zip(ks, got):
+    for k, block in zip(_KS, got):
         assert np.array_equal(block, single.normal_block(k, 1, n, dim))
     for k in (0, 1, 5):
-        assert np.array_equal(got[ks.index(k)], _reference_block(2024, k, 1, n, dim))
+        assert np.array_equal(got[_KS.index(k)], _reference_block(2024, k, 1, n, dim))
     # the chunk is shared, so the blocks it hands out cannot be written
     with pytest.raises(ValueError):
         cold.normal_block(2, 1, n, dim)[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 200, None])
+def test_noise_block_equals_sigma_times_each_axis(monkeypatch, chunk):
+    import adast.problems as problems
+
+    if chunk is not None:  # 200 doubles: 5 iterations of the joint (7, 3 + 2) chunk
+        monkeypatch.setattr(problems, "CHUNK_DOUBLES", chunk)
+    n, p, d, sigma = 7, 3, 2, 0.37
+    joint, per_axis = GradientStream(2024), GradientStream(2024)
+    for k in _KS:
+        block = joint.noise_block(k, sigma, n, p, d)
+        assert block.shape == (n, p + d)
+        assert np.array_equal(block[:, :p], sigma * per_axis.normal_block(k, X_AXIS, n, p))
+        assert np.array_equal(block[:, p:], sigma * per_axis.normal_block(k, Y_AXIS, n, d))
+    for k in (0, 1, 5):
+        block = joint.noise_block(k, sigma, n, p, d)
+        assert np.array_equal(block[:, :p], sigma * _reference_block(2024, k, X_AXIS, n, p))
+        assert np.array_equal(block[:, p:], sigma * _reference_block(2024, k, Y_AXIS, n, d))
+
+
+def _per_axis_sample(problem, XY, noise, stream, k):
+    """Each side's own sigma * normal_block added, then that side clipped:
+    the per-axis form of ``sample_grad_block``."""
+    G = problem.grads_block(XY)
+    for axis, side in ((X_AXIS, G[:, :problem.p]), (Y_AXIS, G[:, problem.p:])):
+        side += noise.sigma * stream.normal_block(k, axis, problem.n, side.shape[1])
+        if noise.kind == "gaussian-clipped":
+            norms = np.linalg.norm(side, axis=-1, keepdims=True)
+            side *= np.where(norms > noise.clip, noise.clip / np.maximum(norms, 1e-300), 1.0)
+    return G
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.clipped(3.0, 1.5)],
+                         ids=lambda nm: nm.kind)
+def test_sample_grad_block_equals_the_per_axis_formula(monkeypatch, noise):
+    import adast.problems as problems
+
+    monkeypatch.setattr(problems, "CHUNK_DOUBLES", 200)
+    prob = make_random_problem(n=7, p=3, d=2, seed=4)
+    rng = np.random.default_rng(9)
+    joint, per_axis = GradientStream(31), GradientStream(31)
+    at_bound = 0  # x sides the clip shortened
+    for k in _KS:
+        XY = 2.0 * rng.standard_normal((7, 5))
+        G = sample_grad_block(prob, XY, noise, joint, k)
+        assert np.array_equal(G, _per_axis_sample(prob, XY, noise, per_axis, k))
+        at_bound += np.sum(np.abs(np.linalg.norm(G[:, :3], axis=1) - 1.5) < 1e-12)
+    assert noise.kind == "gaussian" or at_bound > 0
+
+
+def test_shared_noise_chunks_stay_read_only():
+    prob = make_random_problem(n=7, p=3, d=2, seed=4)
+    stream = GradientStream(8)
+    block = stream.noise_block(4, 3.0, 7, 3, 2)
+    before = block.copy()
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        block += 1.0
+    # clipping works on the gradients, never on the chunk they were summed from
+    sample_grad_block(prob, np.ones((7, 5)), NoiseModel.clipped(3.0, 0.5), stream, 4)
+    assert np.array_equal(stream.noise_block(4, 3.0, 7, 3, 2), before)
 
 
 def test_stream_consecutive_iterations_share_no_noise():

@@ -7,11 +7,13 @@ compare two such sets file by file.
 ``write`` runs the command line of the package found in SRC_DIR (the
 directory that holds ``adast/``) on a fixed list of experiments: trace
 CSVs of the case study, of the counterexample at two starts, of a noisy
-synthetic run and of a coordinate-wise run; a custom sweep on a 60-node
-ring and a counterexample exponent sweep with their ``sweep.csv``; two
-``adast counterexample`` reports; and five ``adast spectral`` lines, one
-per graph kind the command line can build.  Each lands in its own
-subdirectory of OUT_DIR.
+synthetic run, of a coordinate-wise run, and of two noisy runs of a
+custom 60-node ring problem whose sides differ in size (p = 3, d = 2),
+one with Gaussian and one with clipped Gaussian noise; a custom sweep on
+a 60-node ring and a counterexample exponent sweep with their
+``sweep.csv``; two ``adast counterexample`` reports; and five ``adast
+spectral`` lines, one per graph kind the command line can build.  Each
+lands in its own subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -67,11 +69,16 @@ def write_set(src: Path, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     problem_json = out / "ring-problem.json"
     problem_json.write_text(json.dumps(ring_problem(60, 2, 2, seed=5)))
+    wide_json = out / "ring-problem-p3-d2.json"
+    wide_json.write_text(json.dumps(ring_problem(60, 3, 2, seed=6)))
     # the counterexample's start flag was --ce-x0 before it became --init-x
     x0_flag = "--ce-x0" if "--ce-x0" in _adast(src, ["run", "--help"]) else "--init-x"
     ce = ["--experiment", "counterexample", "--alpha", "0.75", "--beta", "0.25",
           "--K", "20000", "--trace-stride", "3"]
     synthetic = ["--experiment", "synthetic", "--n", "50", "--seed", "3", "--K", "10000"]
+    wide = ["--experiment", "custom", "--problem-json", str(wide_json), "--topology", "ring",
+            "--n", "60", "--K", "3000", "--seed", "4", "--init-x", "1", "--init-y", "-1",
+            "--init-spread", "0.01", "--trace-stride", "30"]
     runs = {
         "case-study": ["run", "--experiment", "case-study", "--K", "20000",
                        "--trace-stride", "1"],
@@ -81,6 +88,10 @@ def write_set(src: Path, out: Path) -> None:
         "coord-mixed": ["run", *synthetic, "--algos", "d-adast-coord",
                         "--stepsize-source", "mixed", "--init-x", "0.5",
                         "--init-spread", "0.1", "--trace-stride", "7"],
+        "custom-noisy": ["run", *wide, "--algos", "d-sgda,d-tiada,d-adast,d-adast-coord",
+                         "--noise", "gaussian", "--gamma-x", "0.05"],
+        "custom-clipped": ["run", *wide, "--algos", "d-tiada,d-adast,d-adast-coord",
+                           "--noise", "gaussian-clipped", "--sigma", "2", "--clip", "1.5"],
         "custom-sweep": ["sweep", "--experiment", "custom", "--problem-json",
                          str(problem_json), "--topology", "ring", "--n", "60",
                          "--algos", "d-sgda,d-adast,d-adast-coord", "--noise", "none",
