@@ -33,9 +33,9 @@ from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_
 _NOISE_KINDS = ("none", "gaussian", "gaussian-clipped")
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; keys use underscores."""
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,22 +48,7 @@ def _parse_config_file(path: str) -> dict:
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         if len(val) >= 2 and val[0] == val[-1] and val[0] in "\"'":
-            values[key] = val[1:-1]
-            continue
-        low = val.lower()
-        if low in ("true", "false"):
-            values[key] = low == "true"
-            continue
-        try:
-            values[key] = int(val)
-            continue
-        except ValueError:
-            pass
-        try:
-            values[key] = float(val)
-            continue
-        except ValueError:
-            pass
+            val = val[1:-1]
         values[key] = val
     return values
 
@@ -73,16 +58,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     cfg_path = getattr(probe, "config", None)
     if cfg_path:
         file_values = _parse_config_file(cfg_path)
-        known = {a.dest for a in parser._actions}
-        unknown = set(file_values) - known
+        flags = {a.dest: a.option_strings[0] for a in parser._actions if a.dest != "help"}
+        unknown = set(file_values) - set(flags)
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in {cfg_path}")
-        parser.set_defaults(**file_values)
+        # each value goes through its own flag; the explicit flags after it override it
+        argv = [*(f"{flags[key]}={val}" for key, val in file_values.items()), *argv]
     return parser.parse_args(argv)
 
 
 def _csv_list(text: str) -> list[str]:
-    items = [t.strip() for t in str(text).split(",") if t.strip()]
+    items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ConfigError(f"empty list value: {text!r}")
     return items
@@ -158,8 +144,6 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
                     help="start x_i = init_x + init_spread*i; the counterexample's x0")
     sp.add_argument("--init-y", type=float, default=None)
     sp.add_argument("--init-spread", type=float, default=None)
-    sp.add_argument("--L-low", type=float, default=1.5)
-    sp.add_argument("--L-high", type=float, default=2.5)
     sp.add_argument("--problem-json", default=None)
 
 
@@ -176,8 +160,6 @@ def _run_config_from_args(args) -> RunConfig:
         init_y=args.init_y,
         init_spread=args.init_spread,
         n=args.n,
-        L_low=args.L_low,
-        L_high=args.L_high,
         problem_json=Path(args.problem_json) if args.problem_json else None,
     )
 
@@ -207,13 +189,12 @@ def cmd_counterexample(argv: list[str]) -> int:
                         help="horizon for the d-adast run (defaults to --K)")
     parser.add_argument("--gamma-x", type=float, default=1.0)
     parser.add_argument("--gamma-y", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="also write the JSON report here")
     args = parser.parse_args(argv)
     report = counterexample_report(
         args.alpha, args.beta, args.x0, args.K,
         gamma_x=args.gamma_x, gamma_y=args.gamma_y,
-        K_escape=args.K_escape, seed=args.seed,
+        K_escape=args.K_escape,
     )
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
@@ -232,7 +213,6 @@ def cmd_sweep(argv: list[str]) -> int:
     parser.add_argument("--beta-grid", default=None)
     parser.add_argument("--threshold", type=float, default=1e-3,
                         help="grad_phi_sq level for iterations-to-threshold")
-    parser.add_argument("--summary", default="sweep.csv", help="summary CSV (under out-dir)")
     args = _apply_config_file(parser, argv)
 
     gx_grid = _csv_floats(args.gamma_x_grid) if args.gamma_x_grid else [args.gamma_x]
@@ -248,9 +228,8 @@ def cmd_sweep(argv: list[str]) -> int:
         args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
         cfg = _run_config_from_args(args)
         cfg.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
-        result = run_experiment(cfg)
-        any_abort = any_abort or result.any_aborted
-        for label, trace in result.traces.items():
+        for label, trace in run_experiment(cfg).traces.items():
+            any_abort = any_abort or trace.aborted
             hits = np.flatnonzero(trace.grad_phi_sq <= args.threshold)
             hit = trace.k[hits[0]] if hits.size else -1
             rows.append(
@@ -259,8 +238,8 @@ def cmd_sweep(argv: list[str]) -> int:
                 f"{trace.zeta_v_sup[-1].item():.17g},{hit},{int(trace.aborted)}"
             )
     base_out.mkdir(parents=True, exist_ok=True)
-    (base_out / args.summary).write_text("\n".join(rows) + "\n")
-    print(str(base_out / args.summary))
+    (base_out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    print(str(base_out / "sweep.csv"))
     return 3 if any_abort else 0
 
 

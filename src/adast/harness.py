@@ -61,8 +61,6 @@ class RunConfig:
     init_spread: float | None = None
     # synthetic parameters
     n: int | None = None
-    L_low: float = 1.5
-    L_high: float = 2.5
     # custom experiment
     problem_json: Path | None = None
 
@@ -79,7 +77,7 @@ class RunConfig:
 
 @dataclass
 class ExperimentResult:
-    config: RunConfig
+    problem: QuadraticMinimaxProblem
     traces: dict[str, Trace]
     manifest: dict
     out_dir: Path | None
@@ -100,15 +98,6 @@ _DEFAULTS = {
     "synthetic": (GraphKind.EXPONENTIAL, (0.0, 0.0, 0.0)),
     "custom": (None, (0.0, 0.0, 0.0)),
 }
-
-
-def _counterexample_start(alpha: float, beta: float, x0: float):
-    """The three-node instance for (alpha, beta), its slope and its start:
-    every node at (x0, slope * x0) on the invariance line."""
-    if x0 == 0.0:
-        raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
-    problem, slope = make_counterexample(alpha, beta)
-    return problem, slope, np.full((3, 1), float(x0)), np.full((3, 1), slope * float(x0))
 
 
 def _prepare(cfg: RunConfig):
@@ -137,13 +126,16 @@ def _prepare(cfg: RunConfig):
             raise ConfigError(
                 f"counterexample methods need one exponent pair (alpha, beta), got {exponents}"
             )
+        if bx == 0.0:
+            raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
         ac = (adaptive or cfg.algo_configs)[0]
-        problem, slope, X0, Y0 = _counterexample_start(ac.alpha, ac.beta, bx)
+        problem, slope = make_counterexample(ac.alpha, ac.beta)
+        X0, Y0 = np.full((3, 1), float(bx)), np.full((3, 1), slope * float(bx))
         note = f"all nodes at (x0, slope*x0) = ({bx}, {slope * bx})"
     elif cfg.experiment == "synthetic":
         if cfg.n is None:
             raise ConfigError("synthetic experiment needs --n (node count)")
-        problem = make_synthetic(cfg.n, cfg.seed, cfg.L_low, cfg.L_high)
+        problem = make_synthetic(cfg.n, cfg.seed)
         if cfg.init_x is None and cfg.init_y is None:
             stat = problem.stationary_point()
             if stat is None:
@@ -290,7 +282,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
             _gnuplot_script({label: f"trace_{label}.csv" for label in labels})
         )
 
-    return ExperimentResult(config=cfg, traces=trace_map, manifest=manifest, out_dir=out_dir)
+    return ExperimentResult(problem=problem, traces=trace_map, manifest=manifest, out_dir=out_dir)
 
 
 def counterexample_report(
@@ -301,7 +293,6 @@ def counterexample_report(
     gamma_x: float = 1.0,
     gamma_y: float = 1.0,
     K_escape: int | None = None,
-    seed: int = 0,
 ) -> dict:
     """Run d-tiada and d-adast from the invariance line and report drift.
 
@@ -309,29 +300,29 @@ def counterexample_report(
     drift at rounding level); d-adast should leave the line and shrink
     the primal gradient.  All runs use exact gradients and zero buffers.
     """
-    problem, slope, X0, Y0 = _counterexample_start(alpha, beta, x0)
-    W = weights_for(GraphSpec(n=3, kind=GraphKind.COMPLETE)).W
     K_escape = K if K_escape is None else K_escape
-
+    result = run_experiment(RunConfig(
+        experiment="counterexample",
+        algo_configs=[
+            AlgoConfig(algo=algo, gamma_x=gamma_x, gamma_y=gamma_y, alpha=alpha, beta=beta,
+                       c0=0.0, K=horizon)
+            for algo, horizon in (("d-tiada", K), ("d-adast", K_escape))
+        ],
+        trace_stride=1,
+        init_x=x0,
+    ))
+    problem = result.problem
     report: dict = {
         "alpha": alpha,
         "beta": beta,
         "x0": x0,
-        "slope": slope,
+        "slope": problem.meta["init_slope"],
         "gamma_x": gamma_x,
         "gamma_y": gamma_y,
         "K": K,
         "K_escape": K_escape,
     }
-    for algo, horizon in (("d-tiada", K), ("d-adast", K_escape)):
-        ac = AlgoConfig(
-            algo=algo, gamma_x=gamma_x, gamma_y=gamma_y, alpha=alpha, beta=beta,
-            c0=0.0, K=horizon,
-        )
-        trace = run(
-            problem, W, ac, NoiseModel.none(),
-            x0=X0, y0=Y0, seed=seed, trace_stride=1,
-        )
+    for algo, trace in result.traces.items():
         gx = np.sqrt(trace.grad_xf_sq)
         gy = np.linalg.norm(problem.grad_y_avg(trace.xbar, trace.ybar), axis=1)
         report[algo] = {

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adast.algorithms import (
@@ -261,18 +261,38 @@ def test_dtiada_counterexample_invariance_short():
 
 # ------------------------------------------------------------------- d-adast
 
-def test_dadast_uniform_network_matches_centralized_trajectory():
+@st.composite
+def _one_local_and_start(draw):
+    """One random local objective (n = 1, p, d <= 3) and a start (x0, y0)."""
+    p, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return make_random_problem(1, p, d, seed), rng.standard_normal(p), rng.standard_normal(d)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=_one_local_and_start(), n=st.integers(1, 9),
+       pair=st.sampled_from([(0.6, 0.4), (0.75, 0.25), (0.9, 0.1)]),
+       gamma=st.sampled_from([0.05, 0.1, 0.2]), K=st.just(100))
+@example(case=(_scalar_problem(B=1.0, A=1.2, C=0.8, b=-0.3, c=0.4), [1.0], [0.5]),
+         n=3, pair=(0.6, 0.4), gamma=0.2, K=50)
+def test_dadast_uniform_network_matches_centralized_trajectory(case, n, pair, gamma, K):
     # identical locals, identical init, W = J: every node mirrors the
-    # centralized TiAda iterate
-    p = _scalar_problem(B=1.0, A=1.2, C=0.8, b=-0.3, c=0.4, n=3)
-    W = np.full((3, 3), 1.0 / 3.0)
-    cfg = AlgoConfig(algo="d-adast", gamma_x=0.2, gamma_y=0.2, K=50)
-    dist = run(p, W, cfg, x0=1.0, y0=0.5, trace_stride=1)
-    cent = run(p.averaged(), np.ones((1, 1)), cfg, x0=1.0, y0=0.5, trace_stride=1)
-    for rd, rc in zip(dist.records, cent.records):
-        assert rd.xbar[0] == pytest.approx(rc.xbar[0], rel=1e-12, abs=1e-13)
-        assert rd.ybar[0] == pytest.approx(rc.ybar[0], rel=1e-12, abs=1e-13)
-        assert rd.consensus_x <= 1e-20
+    # centralized TiAda iterate.  The locals must be identical: otherwise
+    # sum_i |g_i|^2 != n |mean_i g_i|^2 and the accumulators differ.
+    local, x0, y0 = case
+    stacks = (local.A_stack, local.B_stack, local.C_stack, local.b_stack, local.c_stack)
+    p = QuadraticMinimaxProblem(*(np.repeat(M, n, axis=0) for M in stacks))
+    W = np.full((n, n), 1.0 / n)
+    cfg = AlgoConfig(algo="d-adast", gamma_x=gamma, gamma_y=gamma, alpha=pair[0],
+                     beta=pair[1], K=K)
+    dist = run(p, W, cfg, x0=np.tile(x0, (n, 1)), y0=np.tile(y0, (n, 1)), trace_stride=1)
+    cent = run(p.averaged(), np.ones((1, 1)), cfg, x0=np.tile(x0, (1, 1)),
+               y0=np.tile(y0, (1, 1)), trace_stride=1)
+    assert np.array_equal(dist.k, cent.k)
+    assert dist.xbar == pytest.approx(cent.xbar, rel=1e-12, abs=1e-13)
+    assert dist.ybar == pytest.approx(cent.ybar, rel=1e-12, abs=1e-13)
+    assert dist.consensus_x.max() <= 1e-20
 
 
 def test_dadast_tracking_mix_two_nodes():
@@ -316,6 +336,28 @@ def test_dadast_tracking_conservation_and_min_monotone():
         stepper.step(sample_grad_block(prob, stepper.XY, noise, stream, k), row)
         mins.append(state.Mx.min())
     assert all(b >= a - 1e-15 for a, b in zip(mins, mins[1:]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), p=st.integers(1, 3), d=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), algo=st.sampled_from(["d-adast", "d-adast-coord"]),
+       source=st.sampled_from(["local", "mixed"]), noisy=st.booleans())
+def test_tracking_identity_on_random_problems_and_graphs(n, p, d, seed, algo, source, noisy):
+    # criterion 5's bound: the node mean of each tracked accumulator is
+    # c0 plus the running mean of squared gradients, to 1e-12 relative
+    prob = make_random_problem(n=n, p=p, d=d, seed=seed)
+    W = sinkhorn_doubly_stochastic(n, seed)
+    cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, stepsize_source=source, K=200)
+    noise = NoiseModel.gaussian(0.2) if noisy else NoiseModel.none()
+    rng = np.random.default_rng(seed)
+    trace = run(prob, W, cfg, noise, x0=rng.standard_normal((n, p)),
+                y0=rng.standard_normal((n, d)), seed=seed, trace_stride=1)
+    later = trace.k > 0
+    for avg_m, gsum in ((trace.avg_m_x, trace.gsum_x_series),
+                        (trace.avg_m_y, trace.gsum_y_series)):
+        avg_m = avg_m[later]
+        rel = np.abs(avg_m - cfg.c0 - gsum[trace.k[later] - 1]) / np.abs(avg_m)
+        assert rel.max() <= 1e-12
 
 
 def test_dadast_mixed_stepsize_source_variant():

@@ -331,11 +331,58 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
 
 def test_cli_config_file_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("experiment = case-study\nwarp_speed = 9\n")
-    assert cli_main(["run", "--config", str(bad)]) == 2
-    # the counterexample's start is --init-x; there is no ce_x0 any more
-    bad.write_text("experiment = counterexample\nce_x0 = 3\n")
-    assert cli_main(["run", "--config", str(bad)]) == 2
+    for command, line in [
+        ("run", "warp_speed = 9"),
+        # the counterexample's start is --init-x; there is no ce_x0 any more
+        ("run", "ce_x0 = 3"),
+        # the synthetic family's L range is fixed, and the summary is sweep.csv
+        ("run", "L_low = 1"),
+        ("run", "L_high = 3"),
+        ("sweep", "summary = other.csv"),
+    ]:
+        bad.write_text(f"experiment = case-study\n{line}\n")
+        assert cli_main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_file_values_take_the_flags_types(tmp_path, capsys):
+    settings = {"experiment": "case-study", "algos": "d-adast", "K": "40",
+                "trace_stride": "10", "gamma_x": "1", "gamma_y": "1", "init_x": "2",
+                "init_y": "-1e-3"}
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+    rc_file = cli_main(["sweep", "--config", str(cfg_file), "--out-dir", str(tmp_path / "file")])
+    rc_flags = cli_main(["sweep", *flags, "--out-dir", str(tmp_path / "flags")])
+    assert rc_file == rc_flags
+    cells = [sorted(p.name for p in (tmp_path / o).iterdir() if p.is_dir())
+             for o in ("file", "flags")]
+    assert cells[0] == cells[1] == ["gx1.0_gy1.0_a0.6_b0.4"]
+    assert ((tmp_path / "file" / "sweep.csv").read_bytes()
+            == (tmp_path / "flags" / "sweep.csv").read_bytes())
+    manifests = []
+    for o in ("file", "flags"):
+        man = json.loads((tmp_path / o / cells[0][0] / "manifest.json").read_text())
+        man.pop("timestamp")
+        manifests.append(man)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["init"] == "x_i = 2.0 + 0.01*i, y_i = -0.001 + 0.01*i"
+
+
+@pytest.mark.parametrize("key,flag,value,message", [
+    ("K", "--K", "1e2", "invalid int value: '1e2'"),
+    ("noise", "--noise", "bogus", "invalid choice: 'bogus'"),
+])
+def test_cli_config_file_value_the_flag_refuses_exits_2(tmp_path, capsys, key, flag, value,
+                                                        message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for argv in (["run", "--config", str(cfg_file)], ["run", flag, value]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_single_cell_matches_run(tmp_path, capsys):

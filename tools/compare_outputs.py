@@ -11,9 +11,10 @@ synthetic run, of a coordinate-wise run, and of two noisy runs of a
 custom 60-node ring problem whose sides differ in size (p = 3, d = 2),
 one with Gaussian and one with clipped Gaussian noise; a custom sweep on
 a 60-node ring and a counterexample exponent sweep with their
-``sweep.csv``; two ``adast counterexample`` reports; and five ``adast
-spectral`` lines, one per graph kind the command line can build.  Each
-lands in its own subdirectory of OUT_DIR.
+``sweep.csv``; three ``adast counterexample`` reports, the third with a
+d-adast horizon (``--K-escape``) and a primal stepsize of its own; and
+five ``adast spectral`` lines, one per graph kind the command line can
+build.  Each lands in its own subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -106,9 +107,14 @@ def write_set(src: Path, out: Path) -> None:
     for name, argv in runs.items():
         _adast(src, [*argv, "--out-dir", str(out / name)])
     (out / "reports").mkdir(exist_ok=True)
-    for alpha, beta, x0, K in (("0.75", "0.25", "10", "1000"), ("0.9", "0.1", "1", "20000")):
+    reports = (("0.75", "0.25", "10", "1000"), ("0.9", "0.1", "1", "20000"),
+               # criterion 2's calibrated instance: d-adast runs 5x longer than d-tiada
+               ("0.9", "0.1", "100", "2000", "--K-escape", "10000",
+                "--gamma-x", "3000", "--gamma-y", "1"))
+    for alpha, beta, x0, K, *more in reports:
         _adast(src, ["counterexample", "--alpha", alpha, "--beta", beta, "--x0", x0,
-                     "--K", K, "--out", str(out / "reports" / f"ce-{alpha}-{beta}-{x0}-{K}.json")])
+                     "--K", K, *more,
+                     "--out", str(out / "reports" / f"ce-{alpha}-{beta}-{x0}-{K}.json")])
     (out / "spectral").mkdir(exist_ok=True)
     for kind, n in (("exponential", "50"), ("ring", "400"), ("directed-ring", "50"),
                     ("dense", "50"), ("complete", "3")):
