@@ -24,7 +24,6 @@ from .errors import (  # noqa: F401
     InvalidGraphError,
 )
 from .metrics import (  # noqa: F401
-    TraceRecord,
     consensus_error,
     grad_phi_sq,
     grad_xf_sq,

@@ -31,14 +31,13 @@ keeps the tracking-average identity tight over 1e5 iterations.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import starmap
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import TRACE_HEADER, TraceRecord, consensus_error, grad_phi_sq, grad_xf_sq
+from .metrics import TRACE_HEADER, consensus_error, grad_phi_sq, grad_xf_sq
 from .metrics import zeta_hat_series as _zeta_hat_series
 from .metrics import zeta_series as _zeta_series
 from .problems import ALL, GradientStream, NoiseModel, ProjectionSet, QuadraticMinimaxProblem, \
@@ -129,10 +128,6 @@ class RunState:
     k: int = 0
 
     @property
-    def n(self) -> int:
-        return self.Z.shape[0]
-
-    @property
     def X(self) -> np.ndarray:
         return self.Z[:, :self.p]
 
@@ -169,7 +164,6 @@ class Trace:
     and ybar (R, d), and zeta_v_hat_inst (R,) for the coordinate-wise
     variant (None otherwise).  grad_phi_sq is NaN when the dual domain is
     constrained (the closed-form best response does not apply).
-    ``records`` views the same rows as ``TraceRecord`` objects.
 
     zeta_*_series[t] is the inconsistency of the stepsizes applied at
     iteration t (0-based); gsum_*_series[t] is the running node-mean of
@@ -204,36 +198,13 @@ class Trace:
         return self.abort is not None
 
     @property
-    def records(self) -> Sequence[TraceRecord]:
-        return _Rows(self)
-
-
-class _Rows(Sequence):
-    """Read-only row view of a Trace: rows are built as TraceRecords when
-    read, with None for a NaN grad_phi_sq and for an absent zeta_v_hat_inst."""
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.k)
-
-    def __getitem__(self, t):
-        rows = range(len(self))[t]
-        if isinstance(t, slice):
-            return list(self._build(rows))
-        return next(self._build(range(rows, rows + 1)))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self._build(range(len(self)))
-
-    def _build(self, rows: range) -> Iterator[TraceRecord]:
-        tr, idx = self._trace, np.asarray(rows, dtype=np.intp)
-        columns = [getattr(tr, h)[idx].tolist() for h in TRACE_HEADER]
-        columns[1] = [None if math.isnan(v) else v for v in columns[1]]
-        zh = [None] * len(idx) if tr.zeta_v_hat_inst is None else tr.zeta_v_hat_inst[idx].tolist()
-        columns += [tr.xbar[idx], tr.ybar[idx], zh]
-        return starmap(TraceRecord, zip(*columns))
+    def records(self) -> list[SimpleNamespace]:
+        """The records as rows: k, the metrics of ``TRACE_HEADER``, xbar and
+        ybar.  Only the benchmark's checks in ``bench/`` read rows; this
+        stays for them until the benchmark reads columns (ROADMAP item 1)."""
+        names = [*TRACE_HEADER, "xbar", "ybar"]
+        cols = [getattr(self, h).tolist() for h in TRACE_HEADER] + [self.xbar, self.ybar]
+        return [SimpleNamespace(**dict(zip(names, row))) for row in zip(*cols)]
 
 
 def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -248,7 +248,6 @@ def cmd_spectral(argv: list[str]) -> int:
     parser.add_argument("--topology", required=True,
                         help="ring | directed-ring | exponential | dense | complete")
     parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args(argv)
     spec = _graph_spec(args.topology, args.n)
     wm = weights_for(spec)
@@ -257,7 +256,7 @@ def cmd_spectral(argv: list[str]) -> int:
         "n": args.n,
         "rho_w": wm.rho_w,
         "rho_w_spectral_norm": wm.spectral_norm,
-        "validation": validate_doubly_stochastic(wm.W, tol=args.tol),
+        "validation": validate_doubly_stochastic(wm.W),
     }))
     return 0
 

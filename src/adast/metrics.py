@@ -15,15 +15,13 @@ recorder, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .errors import ConfigError
 from .problems import QuadraticMinimaxProblem
 
 __all__ = [
     "TRACE_HEADER",
-    "TraceRecord",
     "grad_phi_sq",
     "grad_xf_sq",
     "consensus_error",
@@ -48,63 +46,30 @@ TRACE_HEADER = [
 ]
 
 
-@dataclass
-class TraceRecord:
-    """One row of run metrics.
-
-    grad_phi_sq is None when the dual domain is constrained (the
-    closed-form best response does not apply); zeta_v_hat_inst is only
-    populated for coordinate-wise runs.
-    """
-
-    k: int
-    grad_phi_sq: float | None
-    grad_xf_sq: float
-    consensus_x: float
-    consensus_y: float
-    zeta_v_inst: float
-    zeta_v_sup: float
-    zeta_u_inst: float
-    zeta_u_sup: float
-    avg_m_x: float
-    avg_m_y: float
-    xbar: np.ndarray = field(repr=False)
-    ybar: np.ndarray = field(repr=False)
-    zeta_v_hat_inst: float | None = None
-
-
-def _sq_norms(G: np.ndarray) -> float | np.ndarray:
-    """g @ g for a vector g; for each row g of a stack G (R, m), an (R,) array."""
-    if G.ndim == 1:
-        return float(_sq_norms(G[None])[0])
+def _sq_norms(G: np.ndarray) -> np.ndarray:
+    """g @ g for each row g of a stack G (R, m), as an (R,) array."""
     return np.matmul(G[:, None, :], G[:, :, None])[:, 0, 0]
 
 
-def grad_phi_sq(problem: QuadraticMinimaxProblem, xbar: np.ndarray) -> float | np.ndarray:
-    """Squared norm of grad Phi at xbar (p,); for a stack of records
-    xbar (R, p), an (R,) array."""
+def grad_phi_sq(problem: QuadraticMinimaxProblem, xbar: np.ndarray) -> np.ndarray:
+    """Squared norm of grad Phi at each row of the stack xbar (R, p)."""
     return _sq_norms(problem.grad_phi(xbar))
 
 
-def grad_xf_sq(
-    problem: QuadraticMinimaxProblem, xbar: np.ndarray, ybar: np.ndarray
-) -> float | np.ndarray:
-    """Squared norm of the averaged x-gradient at (xbar, ybar); for stacks
-    of records (R, p), (R, d), an (R,) array."""
+def grad_xf_sq(problem: QuadraticMinimaxProblem, xbar: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """Squared norm of the averaged x-gradient at each row pair of the
+    stacks xbar (R, p), ybar (R, d)."""
     return _sq_norms(problem.grad_x_avg(xbar, ybar))
 
 
-def consensus_error(
-    X: np.ndarray, Y: np.ndarray
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Squared Frobenius deviation of the stacked iterates X (n, p),
-    Y (n, d) from their node means; for stacks of snapshots (R, n, p),
-    (R, n, d), a pair of (R,) arrays."""
+def consensus_error(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Frobenius deviation of each snapshot of the stacked iterates
+    X (R, n, p), Y (R, n, d) from its node mean, as a pair of (R,) arrays."""
 
-    def dev_sq(V: np.ndarray) -> float | np.ndarray:
+    def dev_sq(V: np.ndarray) -> np.ndarray:
         V = np.asarray(V, dtype=float)
-        if V.ndim == 2:
-            return float(dev_sq(V[None])[0])
+        if V.ndim != 3:
+            raise ConfigError(f"consensus_error takes (R, n, dim) snapshots, got {V.shape}")
         dev = V - np.add.reduce(V, axis=1, keepdims=True) / V.shape[1]
         return np.add.reduce((dev * dev).reshape(len(V), -1), axis=1)
 

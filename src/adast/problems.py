@@ -72,20 +72,12 @@ def _node_stack(nodes: list, key: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _as_vector(v: Any, size: int, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (size,):
-        raise ConfigError(f"{name} must have shape ({size},), got {v.shape}")
-    return v
-
-
-def _as_rows(v: Any, size: int, name: str) -> tuple[np.ndarray, bool]:
-    """v as a stack of points (R, size), and whether it was given as one;
-    a single point (size,) becomes a one-row stack."""
+def _as_rows(v: Any, size: int, name: str) -> np.ndarray:
+    """v as a float stack of points, which must have shape (R, size)."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 2 and v.shape[1] == size:
-        return v, True
-    return _as_vector(v, size, name)[None], False
+    if v.ndim != 2 or v.shape[1] != size:
+        raise ConfigError(f"{name} must be a stack of shape (R, {size}), got {v.shape}")
+    return v
 
 
 def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -164,39 +156,33 @@ class QuadraticMinimaxProblem:
         G += self._r_stack
         return G
 
-    def _row_pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        """x and y as stacks (R, p), (R, d), and whether they were given as such."""
-        X, stacked = _as_rows(x, self.p, "x")
-        Y, _ = _as_rows(y, self.d, "y")
+    def _row_pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and y as stacks (R, p), (R, d) of the same length."""
+        X, Y = _as_rows(x, self.p, "x"), _as_rows(y, self.d, "y")
         if len(X) != len(Y):
             raise ConfigError(f"x and y stacks differ in length: {len(X)} vs {len(Y)}")
-        return X, Y, stacked
+        return X, Y
 
     def grad_x_avg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """grad_x of the averaged objective at (x, y), or at each row pair
-        of the stacks x (R, p), y (R, d)."""
-        X, Y, stacked = self._row_pairs(x, y)
-        G = _matvec_rows(self.A_bar, Y) - _matvec_rows(self.C_bar, X) + self.b_bar
-        return G if stacked else G[0]
+        """grad_x of the averaged objective at each row pair of the stacks
+        x (R, p), y (R, d)."""
+        X, Y = self._row_pairs(x, y)
+        return _matvec_rows(self.A_bar, Y) - _matvec_rows(self.C_bar, X) + self.b_bar
 
     def grad_y_avg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """grad_y of the averaged objective at (x, y), or at each row pair
-        of the stacks x (R, p), y (R, d)."""
-        X, Y, stacked = self._row_pairs(x, y)
-        G = _matvec_rows(self.A_bar.T, X) - _matvec_rows(self.B_bar, Y) + self.c_bar
-        return G if stacked else G[0]
+        """grad_y of the averaged objective at each row pair of the stacks
+        x (R, p), y (R, d)."""
+        X, Y = self._row_pairs(x, y)
+        return _matvec_rows(self.A_bar.T, X) - _matvec_rows(self.B_bar, Y) + self.c_bar
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
-        """Best response of the averaged objective; closed form needs an
-        unconstrained dual domain."""
-        x = _as_vector(x, self.p, "x")
-        return self._y_lin @ x + self._y_const
+        """Best response of the averaged objective at each row of a stack
+        x (R, p); the closed form needs an unconstrained dual domain."""
+        return _matvec_rows(self._y_lin, _as_rows(x, self.p, "x")) + self._y_const
 
     def grad_phi(self, x: np.ndarray) -> np.ndarray:
-        """grad Phi at x, or at each row of a stack x (R, p)."""
-        X, stacked = _as_rows(x, self.p, "x")
-        G = _matvec_rows(self._phi_lin, X) + self._phi_const
-        return G if stacked else G[0]
+        """grad Phi at each row of a stack x (R, p)."""
+        return _matvec_rows(self._phi_lin, _as_rows(x, self.p, "x")) + self._phi_const
 
     def stationary_point(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Solve grad_phi(x) = 0 for the averaged objective.
@@ -212,7 +198,7 @@ class QuadraticMinimaxProblem:
             return None
         if not np.isfinite(x_star).all() or np.linalg.cond(M) > 1e12:
             return None
-        return x_star, self.y_star(x_star)
+        return x_star, self.y_star(x_star[None])[0]
 
     def averaged(self) -> "QuadraticMinimaxProblem":
         """Collapse to the single-node problem with averaged coefficients."""
@@ -508,22 +494,24 @@ def make_counterexample(alpha: float, beta: float) -> tuple[QuadraticMinimaxProb
     return problem, slope
 
 
-def make_synthetic(
-    n: int, seed: int, L_low: float = 1.5, L_high: float = 2.5
-) -> QuadraticMinimaxProblem:
+# The interval the synthetic problem draws its L_i from.
+L_LOW, L_HIGH = 1.5, 2.5
+
+
+def make_synthetic(n: int, seed: int) -> QuadraticMinimaxProblem:
     """n scalar nodes f_i(x,y) = -y^2/2 + L_i x y - L_i^2 x^2 / 2 - 2 L_i x + L_i y
-    with L_i drawn uniformly from [L_low, L_high]."""
+    with L_i drawn uniformly from [L_LOW, L_HIGH]."""
     if n < 1:
         raise ConfigError(f"node count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    L = rng.uniform(L_low, L_high, size=n)
+    L = rng.uniform(L_LOW, L_HIGH, size=n)
     return _scalar_problem(
         A=L, B=np.ones(n), C=L * L, b=-2.0 * L, c=L,
         meta={
             "name": "synthetic",
             "seed": int(seed),
             "L_values": L.tolist(),
-            "L_low": L_low,
-            "L_high": L_high,
+            "L_low": L_LOW,
+            "L_high": L_HIGH,
         },
     )

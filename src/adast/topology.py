@@ -76,10 +76,6 @@ class WeightMatrix:
     rho_w: float
 
     @property
-    def n(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def spectral_norm(self) -> float:
         """Unsquared ||W - J||_2, the figure conventionally reported for graphs."""
         return float(np.sqrt(self.rho_w))

@@ -65,7 +65,7 @@ def local_grads(problem: QuadraticMinimaxProblem, i: int, x, y) -> tuple[np.ndar
 
 def phi(problem: QuadraticMinimaxProblem, x) -> float:
     """Phi(x) = f(x, y*(x)) of the averaged objective f = mean_i f_i."""
-    y = problem.y_star(x)
+    y = problem.y_star([x])[0]
     return float(np.mean([local_value(problem, i, x, y) for i in range(problem.n)]))
 
 

@@ -135,9 +135,8 @@ def test_criterion_1_dtiada_invariance_exact():
             trace = run(problem, W, cfg, NoiseModel.none(),
                         x0=np.full((3, 1), x0), y0=np.full((3, 1), slope * x0),
                         seed=0, trace_stride=1)
-            xb = np.array([r.xbar[0] for r in trace.records])
-            yb = np.array([r.ybar[0] for r in trace.records])
-            gxn = np.sqrt([r.grad_xf_sq for r in trace.records])
+            xb, yb = trace.xbar[:, 0], trace.ybar[:, 0]
+            gxn = np.sqrt(trace.grad_xf_sq)
             # averaged dual gradient: -Bbar*y + Abar*x + cbar, scalar case
             gyn = np.abs(
                 problem.A_bar[0, 0] * xb - problem.B_bar[0, 0] * yb + problem.c_bar[0]
@@ -165,9 +164,8 @@ def test_criterion_2_dadast_escapes(counterexample_escape_traces):
     for (alpha, beta, x0), trace in (
         (k, v) for k, v in counterexample_escape_traces.items() if isinstance(k, tuple)
     ):
-        recs = trace.records
-        ratio = math.sqrt(recs[-1].grad_xf_sq / recs[0].grad_xf_sq)
-        dists = np.array([np.hypot(r.xbar[0], r.ybar[0]) for r in recs[1:-1]])
+        ratio = math.sqrt(trace.grad_xf_sq[-1] / trace.grad_xf_sq[0])
+        dists = np.hypot(trace.xbar[1:-1, 0], trace.ybar[1:-1, 0])
         w = dists.reshape(10, window // 10).mean(axis=1)
         tw = w[-tail:]
         mono = bool(np.all(np.diff(tw) <= rtol * tw[:-1] + 1e-12 * (w[0] + 1.0)))
@@ -190,8 +188,7 @@ def test_criterion_3_case_study(case_study_traces):
     tiada = case_study_traces["d-tiada"]
     sgda = case_study_traces["d-sgda"]
 
-    final = adast.records[-1]
-    dist_adast = _line_distance(final.xbar, final.ybar)
+    dist_adast = _line_distance(adast.xbar[-1], adast.ybar[-1])
     ok_a = dist_adast < 1e-2
 
     zeta_tail = adast.zeta_v_series[-gd["zeta_window"]:].mean()
@@ -201,9 +198,9 @@ def test_criterion_3_case_study(case_study_traces):
     ok_c = zeta_min >= gd["dtiada_zeta_floor"] and gd["dtiada_zeta_floor"] >= 1e-2
 
     sgda_dists = [
-        _line_distance(r.xbar, r.ybar)
-        for r in sgda.records
-        if np.isfinite(r.xbar).all()
+        _line_distance(xbar, ybar)
+        for xbar, ybar in zip(sgda.xbar, sgda.ybar)
+        if np.isfinite(xbar).all()
     ]
     ok_d = min(sgda_dists) >= dist_adast
 
@@ -282,13 +279,9 @@ def test_criterion_4_synthetic_ordering():
             result = run_experiment(cfg)
             rho_reported = result.manifest["rho_w_spectral_norm"]
             for label, trace in result.traces.items():
-                vals = [
-                    r.grad_phi_sq
-                    for r in trace.records
-                    if r.k > K - window and r.grad_phi_sq is not None
-                       and np.isfinite(r.grad_phi_sq)
-                ]
-                final = float(np.mean(vals)) if vals else float("inf")
+                g = trace.grad_phi_sq[trace.k > K - window]
+                vals = g[np.isfinite(g)]
+                final = float(np.mean(vals)) if len(vals) else float("inf")
                 if trace.aborted:
                     final = float("inf")
                 finals.setdefault((gamma_x, label), []).append(final)
@@ -326,12 +319,13 @@ def test_criterion_5_tracking_conservation(case_study_traces, coordinate_traces,
 
     def check(trace, c0):
         nonlocal worst
-        for r in trace.records[1:]:
-            if r.k == 0 or r.avg_m_x <= 0:
+        rows = zip(trace.k[1:].tolist(), trace.avg_m_x[1:].tolist(), trace.avg_m_y[1:].tolist())
+        for k, avg_m_x, avg_m_y in rows:
+            if k == 0 or avg_m_x <= 0:
                 continue
-            idx = min(r.k, len(trace.gsum_x_series)) - 1
-            dx = abs(r.avg_m_x - (c0 + trace.gsum_x_series[idx])) / r.avg_m_x
-            dy = abs(r.avg_m_y - (c0 + trace.gsum_y_series[idx])) / r.avg_m_y
+            idx = min(k, len(trace.gsum_x_series)) - 1
+            dx = abs(avg_m_x - (c0 + trace.gsum_x_series[idx])) / avg_m_x
+            dy = abs(avg_m_y - (c0 + trace.gsum_y_series[idx])) / avg_m_y
             worst = max(worst, dx, dy)
 
     check(case_study_traces["d-adast"], 1e-6)
@@ -407,7 +401,7 @@ def test_criterion_7_oracle_suite():
         y = rng.standard_normal(2)
         i = seed % 2
         gx, gy = np.split(grads_at(prob, x, y)[i], [2])
-        gphi = prob.grad_phi(x)
+        gphi = prob.grad_phi([x])[0]
         scale = max(1.0, np.abs(gx).max(), np.abs(gy).max(), np.abs(gphi).max())
         for j in range(2):
             e = np.zeros(2)
@@ -471,18 +465,12 @@ def test_criterion_8_centralized_limit():
     kw = dict(x0=0.5, y0=-0.5, seed=13, trace_stride=1)
     t1 = run(prob, np.ones((1, 1)), cfg, noise, **kw)
     t2 = run(prob.averaged(), np.ones((1, 1)), cfg, noise, **kw)
-    identical = len(t1.records) == len(t2.records) and all(
-        a.k == b.k
-        and a.grad_phi_sq == b.grad_phi_sq
-        and a.grad_xf_sq == b.grad_xf_sq
-        and a.avg_m_x == b.avg_m_x
-        and a.avg_m_y == b.avg_m_y
-        and np.array_equal(a.xbar, b.xbar)
-        and np.array_equal(a.ybar, b.ybar)
-        for a, b in zip(t1.records, t2.records)
+    identical = all(
+        np.array_equal(getattr(t1, name), getattr(t2, name), equal_nan=name == "grad_phi_sq")
+        for name in ("k", "grad_phi_sq", "grad_xf_sq", "avg_m_x", "avg_m_y", "xbar", "ybar")
     )
     _report("8 (centralized limit)", identical,
-            f"{len(t1.records)} records bit-identical over 1e3 iterations: {identical}")
+            f"{len(t1.k)} records bit-identical over 1e3 iterations: {identical}")
     assert identical
 
 

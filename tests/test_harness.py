@@ -78,23 +78,22 @@ def test_trace_round_trip_exact(tmp_path):
             )
         )
     trace = _columnar_trace(rows, p=2, d=1)
-    records = trace.records
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     with open(path, newline="") as f:
         parsed = list(csv.DictReader(f))
     cols = {h: [float(row[h]) for row in parsed] for h in parsed[0]}
-    for i, r in enumerate(records):
-        assert cols["k"][i] == r.k
-        if r.grad_phi_sq is None:
+    for i, k in enumerate(trace.k):
+        assert cols["k"][i] == k
+        if math.isnan(trace.grad_phi_sq[i]):
             assert math.isnan(cols["grad_phi_sq"][i])
         else:
-            assert cols["grad_phi_sq"][i] == r.grad_phi_sq
-        assert cols["avg_m_x"][i] == r.avg_m_x
-        assert cols["avg_m_y"][i] == r.avg_m_y
-        assert cols["xbar_0"][i] == r.xbar[0]
-        assert cols["xbar_1"][i] == r.xbar[1]
-        assert cols["ybar_0"][i] == r.ybar[0]
+            assert cols["grad_phi_sq"][i] == trace.grad_phi_sq[i]
+        assert cols["avg_m_x"][i] == trace.avg_m_x[i]
+        assert cols["avg_m_y"][i] == trace.avg_m_y[i]
+        assert cols["xbar_0"][i] == trace.xbar[i, 0]
+        assert cols["xbar_1"][i] == trace.xbar[i, 1]
+        assert cols["ybar_0"][i] == trace.ybar[i, 0]
 
 
 def test_trace_row_counting(tmp_path):
@@ -154,11 +153,10 @@ def test_manifest_completeness_and_rerun(tmp_path):
         x0=np.asarray(man["init_x0"]), y0=np.asarray(man["init_y0"]),
         seed=man["seed"], trace_stride=man["trace_stride"],
     )
-    orig = result.traces["d-adast"].records
-    for r1, r2 in zip(orig, trace2.records):
-        assert r1.k == r2.k
-        assert np.array_equal(r1.xbar, r2.xbar)
-        assert r1.avg_m_x == r2.avg_m_x
+    orig = result.traces["d-adast"]
+    assert np.array_equal(orig.k, trace2.k)
+    assert np.array_equal(orig.xbar, trace2.xbar)
+    assert np.array_equal(orig.avg_m_x, trace2.avg_m_x)
 
 
 def test_synthetic_requires_n():
@@ -406,7 +404,7 @@ def test_cli_sweep_single_cell_matches_run(tmp_path, capsys):
             out_dir=None,
         ),
     )
-    assert float(cell[5]) == direct.traces["d-adast"].records[-1].grad_phi_sq
+    assert float(cell[5]) == direct.traces["d-adast"].grad_phi_sq[-1]
 
 
 def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):

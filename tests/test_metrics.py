@@ -78,23 +78,26 @@ def test_zeta_hat_hand_example():
 
 
 def test_consensus_error_examples():
-    X = np.array([[1.0], [1.0], [1.0]])
-    assert consensus_error(X, X) == (0.0, 0.0)
-    X2 = np.array([[0.0], [2.0]])
+    X = np.array([[[1.0], [1.0], [1.0]]])
+    cx, cy = consensus_error(X, X)
+    assert (cx[0], cy[0]) == (0.0, 0.0)
+    X2 = np.array([[[0.0], [2.0]]])
     cx, _ = consensus_error(X2, X2)
-    assert cx == pytest.approx(2.0)
+    assert cx[0] == pytest.approx(2.0)
     shifted = X2 + 17.3
-    assert consensus_error(shifted, shifted)[0] == pytest.approx(2.0)
+    assert consensus_error(shifted, shifted)[0][0] == pytest.approx(2.0)
+    with pytest.raises(ConfigError):
+        consensus_error(X2[0], X2[0])  # one snapshot, not a stack of them
 
 
 def test_grad_phi_sq_examples():
     case = make_two_node_case_study()
     for x in (0.0, 1.0, -2.5):
-        assert grad_phi_sq(case, np.array([x])) <= 1e-24
+        assert grad_phi_sq(case, np.array([[x]]))[0] <= 1e-24
     pair = scalar_problem(A=[1.5, 2.5], B=[1.0, 1.0], C=[1.5**2, 2.5**2], b=[-3.0, -5.0],
                           c=[1.5, 2.5])
-    assert grad_phi_sq(pair, np.array([0.0])) == pytest.approx(0.0, abs=1e-24)
-    assert grad_phi_sq(pair, np.array([1.0])) == pytest.approx(0.0625)
+    assert grad_phi_sq(pair, np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-24)
+    assert grad_phi_sq(pair, np.array([[1.0]]))[0] == pytest.approx(0.0625)
 
 
 def test_grad_phi_sq_matches_finite_difference():
@@ -107,18 +110,19 @@ def test_grad_phi_sq_matches_finite_difference():
         e = np.zeros(2)
         e[j] = h
         fd[j] = (phi(prob, x + e) - phi(prob, x - e)) / (2 * h)
-    assert grad_phi_sq(prob, x) == pytest.approx(float(fd @ fd), rel=1e-6)
+    assert grad_phi_sq(prob, x[None])[0] == pytest.approx(float(fd @ fd), rel=1e-6)
 
 
 def test_grad_xf_sq_uses_average_objective():
     case = make_two_node_case_study()
-    g = case.grad_x_avg([1.0], [1.0])
-    assert grad_xf_sq(case, np.array([1.0]), np.array([1.0])) == pytest.approx(float(g @ g))
+    g = case.grad_x_avg([[1.0]], [[1.0]])[0]
+    gxf = grad_xf_sq(case, np.array([[1.0]]), np.array([[1.0]]))
+    assert gxf[0] == pytest.approx(float(g @ g))
 
 
 def test_batched_metrics_match_single_record_forms():
-    # runs reduce their records in stacks; every row must equal the
-    # single-record metric bit for bit, also on strided views of a state block
+    # runs reduce their records in stacks; every row must equal the metric
+    # of a one-row stack bit for bit, also on strided views of a state block
     rng = np.random.default_rng(11)
     for n, p, d in ((2, 1, 1), (5, 2, 3), (9, 4, 4), (50, 1, 1)):
         prob = make_random_problem(n=n, p=p, d=d, seed=n)
@@ -134,13 +138,14 @@ def test_batched_metrics_match_single_record_forms():
             grad_xf_sq(prob, xbars, ybars[:5])
         for t in range(6):
             assert np.array_equal(xbars[t], Xs[t].mean(axis=0))
-            g = prob.grad_phi(xbars[t])
+            g = prob.grad_phi(xbars[t:t + 1])[0]
             assert gphi[t] == float(g @ g)
-            g = prob.grad_x_avg(xbars[t], ybars[t])
+            g = prob.grad_x_avg(xbars[t:t + 1], ybars[t:t + 1])[0]
             assert gxf[t] == float(g @ g)
             dx = Xs[t] - Xs[t].mean(axis=0)
             dy = Ys[t] - Ys[t].mean(axis=0)
-            assert (cx[t], cy[t]) == consensus_error(Xs[t], Ys[t])
+            cx1, cy1 = consensus_error(Xs[t:t + 1], Ys[t:t + 1])
+            assert (cx[t], cy[t]) == (cx1[0], cy1[0])
             assert (cx[t], cy[t]) == (float(np.sum(dx * dx)), float(np.sum(dy * dy)))
 
 
@@ -149,7 +154,7 @@ def test_dsgda_zeta_is_zero_by_convention():
     W = weights_for(GraphSpec(n=2, kind=GraphKind.RING)).W
     cfg = AlgoConfig(algo="d-sgda", gamma_x=0.05, gamma_y=0.05, K=50)
     trace = run(case, W, cfg, NoiseModel.none(), x0=1.0, y0=1.0, trace_stride=10)
-    assert all(r.zeta_v_inst == 0.0 and r.zeta_u_inst == 0.0 for r in trace.records)
+    assert np.all(trace.zeta_v_inst == 0.0) and np.all(trace.zeta_u_inst == 0.0)
     assert np.all(trace.zeta_v_series == 0.0)
 
 
@@ -178,8 +183,6 @@ def test_zeta_sup_monotone_and_dominates_inst():
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=400)
     trace = run(case, W, cfg, NoiseModel.gaussian(0.3), x0=1.0, y0=1.0, seed=3,
                 trace_stride=20)
-    sups = [r.zeta_v_sup for r in trace.records]
-    assert all(b >= a for a, b in zip(sups, sups[1:]))
-    assert all(r.zeta_v_sup >= r.zeta_v_inst for r in trace.records)
-    usups = [r.zeta_u_sup for r in trace.records]
-    assert all(b >= a for a, b in zip(usups, usups[1:]))
+    assert np.all(np.diff(trace.zeta_v_sup) >= 0)
+    assert np.all(trace.zeta_v_sup >= trace.zeta_v_inst)
+    assert np.all(np.diff(trace.zeta_u_sup) >= 0)

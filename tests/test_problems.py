@@ -53,8 +53,8 @@ def test_case_study_stationary_line():
     p = make_two_node_case_study()
     # y*(x) = 2/3 + (5/3) x and the primal gradient vanishes everywhere
     for x in (-3.0, 0.0, 1.0, 10.0):
-        assert p.y_star([x])[0] == pytest.approx(2.0 / 3.0 + 5.0 / 3.0 * x)
-        assert abs(p.grad_phi([x])[0]) <= 1e-12
+        assert p.y_star([[x]])[0, 0] == pytest.approx(2.0 / 3.0 + 5.0 / 3.0 * x)
+        assert abs(p.grad_phi([[x]])[0, 0]) <= 1e-12
     assert p.stationary_point() is None  # the whole line is stationary
 
 
@@ -62,8 +62,8 @@ def test_case_study_grad_zero_on_line():
     p = make_two_node_case_study()
     x = 0.7
     y = (5 * x + 2) / 3
-    assert p.grad_x_avg([x], [y]) == pytest.approx([0.0], abs=1e-14)
-    assert p.grad_y_avg([x], [y]) == pytest.approx([0.0], abs=1e-14)
+    assert p.grad_x_avg([[x]], [[y]])[0] == pytest.approx([0.0], abs=1e-14)
+    assert p.grad_y_avg([[x]], [[y]])[0] == pytest.approx([0.0], abs=1e-14)
 
 
 # ------------------------------------------------------------- counterexample
@@ -78,8 +78,8 @@ def test_counterexample_constants():
 
 def test_counterexample_origin_is_stationary():
     prob, _ = make_counterexample(0.75, 0.25)
-    assert prob.grad_x_avg([0.0], [0.0]) == pytest.approx([0.0])
-    assert prob.grad_y_avg([0.0], [0.0]) == pytest.approx([0.0])
+    assert prob.grad_x_avg([[0.0]], [[0.0]])[0] == pytest.approx([0.0])
+    assert prob.grad_y_avg([[0.0]], [[0.0]])[0] == pytest.approx([0.0])
     x_star, y_star = prob.stationary_point()
     assert x_star == pytest.approx([0.0], abs=1e-12)
     assert y_star == pytest.approx([0.0], abs=1e-12)
@@ -96,8 +96,8 @@ def test_counterexample_rejects_bad_exponents(alpha, beta):
 def test_synthetic_forced_pair_closed_forms():
     p = scalar_problem(A=[1.5, 2.5], B=[1.0, 1.0], C=[1.5**2, 2.5**2], b=[-3.0, -5.0],
                        c=[1.5, 2.5])
-    assert p.y_star([1.0])[0] == pytest.approx(4.0)  # y*(x) = 2(x+1)
-    assert p.grad_phi([0.0])[0] == pytest.approx(0.0)
+    assert p.y_star([[1.0]])[0, 0] == pytest.approx(4.0)  # y*(x) = 2(x+1)
+    assert p.grad_phi([[0.0]])[0, 0] == pytest.approx(0.0)
     x_star, y_star = p.stationary_point()
     assert x_star[0] == pytest.approx(0.0, abs=1e-12)
     assert y_star[0] == pytest.approx(2.0)
@@ -107,7 +107,7 @@ def test_synthetic_equal_L_degenerate():
     L = 1.7
     p = scalar_problem(A=[L] * 3, B=[1.0] * 3, C=[L * L] * 3, b=[-2 * L] * 3, c=[L] * 3)
     for x in (-2.0, 0.0, 5.0):
-        assert p.grad_phi([x])[0] == pytest.approx(L * L - 2 * L)
+        assert p.grad_phi([[x]])[0, 0] == pytest.approx(L * L - 2 * L)
 
 
 def test_make_synthetic_seeded():
@@ -138,9 +138,11 @@ def test_trivial_gradients():
 def test_dimension_and_index_contracts():
     p = make_two_node_case_study()
     with pytest.raises(ConfigError):
-        p.grad_x_avg([0.0, 1.0], [0.0])
+        p.grad_x_avg([[0.0, 1.0]], [[0.0]])
     with pytest.raises(ConfigError):
-        p.y_star([0.0, 1.0])
+        p.y_star([[0.0, 1.0]])
+    with pytest.raises(ConfigError):
+        p.grad_phi([0.0])  # a point, not a stack of points
     # per-node initial iterates must have one row per node
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=1)
     with pytest.raises(ConfigError):
@@ -179,7 +181,7 @@ def test_danskin_gradient_of_primal_function(seed):
     prob = make_random_problem(n=2, p=3, d=2, seed=100 + seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(3)
-    g = prob.grad_phi(x)
+    g = prob.grad_phi([x])[0]
     h = 1e-5
     for j in range(3):
         e = np.zeros(3)

@@ -6,12 +6,13 @@ compare two such sets file by file.
 
 ``write`` runs the command line of the package found in SRC_DIR (the
 directory that holds ``adast/``) on a fixed list of experiments: trace
-CSVs of the case study, of the counterexample at two starts, of a noisy
-synthetic run, of a coordinate-wise run, and of two noisy runs of a
-custom 60-node ring problem whose sides differ in size (p = 3, d = 2),
-one with Gaussian and one with clipped Gaussian noise; a custom sweep on
-a 60-node ring and a counterexample exponent sweep with their
-``sweep.csv``; three ``adast counterexample`` reports, the third with a
+CSVs of the case study (once more with one method listed twice, so the
+second trace takes a de-duplicated label), of the counterexample at two
+starts, of a noisy synthetic run, of a coordinate-wise run, and of two
+noisy runs of a custom 60-node ring problem whose sides differ in size
+(p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise; a
+custom sweep on a 60-node ring and a counterexample exponent sweep with
+their ``sweep.csv``; three ``adast counterexample`` reports, the third with a
 d-adast horizon (``--K-escape``) and a primal stepsize of its own; and
 five ``adast spectral`` lines, one per graph kind the command line can
 build.  Each lands in its own subdirectory of OUT_DIR.
@@ -83,6 +84,8 @@ def write_set(src: Path, out: Path) -> None:
     runs = {
         "case-study": ["run", "--experiment", "case-study", "--K", "20000",
                        "--trace-stride", "1"],
+        "case-study-twice": ["run", "--experiment", "case-study", "--K", "2000",
+                             "--algos", "d-adast,d-adast", "--trace-stride", "10"],
         "counterexample": ["run", *ce],
         "counterexample-x0-minus-3": ["run", *ce, x0_flag, "-3"],
         "synthetic": ["run", *synthetic],
