@@ -53,9 +53,13 @@ def _as_stack(M: Any, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _node_stack(nodes: list, key: str) -> np.ndarray:
-    """Coefficient ``key`` of each problem-JSON node, stacked; names the
-    first node that lacks it, holds a non-number or differs from node 0
-    in shape."""
+    """Coefficient ``key`` of each problem-JSON node, stacked in one call;
+    when that fails, names the first node that lacks it, holds a
+    non-number or differs from node 0 in shape."""
+    try:
+        return np.array([node[key] for node in nodes], dtype=float)
+    except (KeyError, IndexError, TypeError, ValueError):
+        pass
     rows = []
     for i, node in enumerate(nodes):
         try:
@@ -90,10 +94,11 @@ class QuadraticMinimaxProblem:
     coefficient stacks A (n, p, d), B (n, d, d), C (n, p, p), b (n, p)
     and c (n, d), whose row i holds node i's coefficients.
 
-    Construction validates the strong-concavity assumption (every B_i
-    and their average must be positive definite; Cholesky failure is a
-    hard error) and caches stacked coefficients for vectorized gradient
-    evaluation plus the affine closed forms of y*(x) and grad Phi(x).
+    Construction validates the coefficients (finite, B_i and C_i
+    symmetric) and the strong-concavity assumption (every B_i and their
+    average must be positive definite; Cholesky failure is a hard error)
+    and caches stacked coefficients for vectorized gradient evaluation
+    plus the affine closed forms of y*(x) and grad Phi(x).
     """
 
     def __init__(self, A: Any, B: Any, C: Any, b: Any, c: Any, meta: dict | None = None):
@@ -126,6 +131,11 @@ class QuadraticMinimaxProblem:
         self._M_stack[:, p:, :p] = np.swapaxes(self.A_stack, 1, 2)
         self._M_stack[:, p:, p:] = -self.B_stack
         self._r_stack = np.concatenate([self.b_stack, self.c_stack], axis=1)
+        if not (np.isfinite(self._M_stack).all() and np.isfinite(self._r_stack).all()):
+            for M, name in ((A, "A"), (B, "B"), (C, "C"), (b, "b"), (c, "c")):
+                finite = np.isfinite(M).reshape(n, -1).all(axis=1)
+                if not finite.all():
+                    raise ConfigError(f"{name}[{np.argmin(finite)}] must be finite")
 
         try:
             np.linalg.cholesky(self.B_bar)
@@ -329,8 +339,8 @@ ALL = ProjectionSet()
 
 
 def project(pset: ProjectionSet, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the set; rows are projected independently
-    when v is a stacked (n, d) array and the set is a ball."""
+    """Euclidean projection onto the set; a ball projects each row of a
+    stacked (n, d) v independently, and a 1-D v as one row."""
     v = np.asarray(v, dtype=float)
     if pset.kind == "all":
         return v
@@ -338,11 +348,6 @@ def project(pset: ProjectionSet, v: np.ndarray) -> np.ndarray:
         return np.clip(v, pset.lo, pset.hi)
     # ball
     dev = v - pset.center
-    if v.ndim == 1:
-        norm = np.linalg.norm(dev)
-        if norm <= pset.radius:
-            return v
-        return pset.center + dev * (pset.radius / norm)
     norms = np.linalg.norm(dev, axis=-1, keepdims=True)
     scale = np.where(norms > pset.radius, pset.radius / np.maximum(norms, 1e-300), 1.0)
     return pset.center + dev * scale

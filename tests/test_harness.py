@@ -500,6 +500,8 @@ _BAD_PROBLEM_FILES = {
     "non-numeric": ((2, "A", [["x", 0.0], [0.0, 1.0]]), "A[2]"),
     "wrong-shape": ((1, "B", [[1.0]]), "B[1]"),
     "asymmetric-C": ((2, "C", [[1.0, 0.5], [-0.5, 1.0]]), "C[2]"),
+    "null-b": ((0, "b", [None, 0.0]), "b[0]"),
+    "nan-B": ((1, "B", [[float("nan"), 0.0], [0.0, 1.0]]), "B[1]"),
     "n-disagrees": ((None, "n", 5), "'n' = 5"),
     "p-disagrees": ((None, "p", 7), "'p' = 7"),
     "d-disagrees": ((None, "d", 1), "'d' = 1"),

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adast.errors import ConfigError, GraphConnectivityError, InvalidGraphError
 from adast.topology import (
@@ -155,6 +157,51 @@ def test_spectral_rho_matches_exponential_closed_form(n, expect):
     rho = weights_for(GraphSpec(n=n, kind=GraphKind.EXPONENTIAL)).rho_w
     assert rho == pytest.approx((1.0 - 2.0 / (1.0 + np.log2(n))) ** 2, rel=1e-12)
     assert rho == pytest.approx(expect, rel=1e-10)
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """The matrix whose row i is ``row`` shifted right by i."""
+    return np.array([np.roll(row, i) for i in range(len(row))])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), symmetric=st.booleans(),
+       density=st.floats(0.0, 1.0))
+def test_spectral_rho_of_random_circulants_matches_svd_oracle(n, seed, symmetric, density):
+    rng = np.random.default_rng(seed)
+    row = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < density)
+    row[rng.integers(n)] += 1.0
+    if symmetric:
+        row = row + row[-np.arange(n) % n]
+    W = _circulant(row / row.sum())
+    assert validate_doubly_stochastic(W)["passed"]
+    assert spectral_rho(W) == pytest.approx(svd_rho(W), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 400])
+@pytest.mark.parametrize("kind", [k for k in GraphKind if k is not GraphKind.CUSTOM])
+def test_spectral_rho_of_every_kind_matches_svd_oracle(kind, n):
+    W = weights_for(GraphSpec(n=n, kind=kind)).W
+    assert spectral_rho(W) == pytest.approx(svd_rho(W), rel=1e-12, abs=1e-14)
+
+
+def test_circulant_weights_skip_the_eigen_solve(monkeypatch):
+    class EigenSolve(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise EigenSolve
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    ring = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).rho_w
+    assert ring == pytest.approx(((1.0 + 2.0 * np.cos(2.0 * np.pi / 400)) / 3.0) ** 2, rel=1e-15)
+    assert weights_for(GraphSpec(n=64, kind=GraphKind.EXPONENTIAL)).rho_w == pytest.approx(
+        (1.0 - 2.0 / 7.0) ** 2, rel=1e-12)
+    # a dense W whose rounded diagonal is not circulant, and a Sinkhorn W
+    with pytest.raises(EigenSolve):
+        weights_for(GraphSpec(n=63, kind=GraphKind.DENSE))
+    with pytest.raises(EigenSolve):
+        spectral_rho(sinkhorn_doubly_stochastic(6, seed=1))
 
 
 def test_validation_report():
