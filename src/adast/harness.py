@@ -100,24 +100,12 @@ _DEFAULTS = {
 }
 
 
-def _prepare(cfg: RunConfig):
-    """The problem, weights, topology, start (X0, Y0) and its manifest note.
-
-    Every experiment takes its topology, node count, noise and start from
-    ``cfg`` by one rule; only the problem and the defaults differ."""
-    kind, (bx, by, spread) = _DEFAULTS[cfg.experiment]
-    bx = bx if cfg.init_x is None else cfg.init_x
-    by = by if cfg.init_y is None else cfg.init_y
-    spread = spread if cfg.init_spread is None else cfg.init_spread
-    X0 = note = None
-    if cfg.experiment == "case-study":
-        problem = make_two_node_case_study()
-    elif cfg.experiment == "counterexample":
-        if cfg.init_y is not None or cfg.init_spread is not None:
-            raise ConfigError(
-                "the counterexample starts on its invariance line at init_x; "
-                "init_y and init_spread do not apply"
-            )
+def _problem_key(cfg: RunConfig) -> tuple:
+    """What the problem instance of ``cfg`` depends on: the experiment and
+    its factory's arguments, which are the exponent pair (counterexample),
+    ``n`` and ``seed`` (synthetic), the problem file (custom) or nothing
+    (case study).  Configs with equal keys get equal instances."""
+    if cfg.experiment == "counterexample":
         # The instance is built for the adaptive methods' exponents (d-sgda
         # has none), so one run can hold only one pair.
         adaptive = [ac for ac in cfg.algo_configs if ac.algo != "d-sgda"]
@@ -126,35 +114,77 @@ def _prepare(cfg: RunConfig):
             raise ConfigError(
                 f"counterexample methods need one exponent pair (alpha, beta), got {exponents}"
             )
-        if bx == 0.0:
-            raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
         ac = (adaptive or cfg.algo_configs)[0]
-        problem, slope = make_counterexample(ac.alpha, ac.beta)
-        X0, Y0 = np.full((3, 1), float(bx)), np.full((3, 1), slope * float(bx))
-        note = f"all nodes at (x0, slope*x0) = ({bx}, {slope * bx})"
-    elif cfg.experiment == "synthetic":
+        return cfg.experiment, ac.alpha, ac.beta
+    if cfg.experiment == "synthetic":
         if cfg.n is None:
             raise ConfigError("synthetic experiment needs --n (node count)")
-        problem = make_synthetic(cfg.n, cfg.seed)
-        if cfg.init_x is None and cfg.init_y is None:
-            stat = problem.stationary_point()
-            if stat is None:
-                note = "origin (averaged objective has no unique stationary point)"
-            else:
-                bx, by = stat
-                note = f"all nodes at the stationary point ({bx[0]:.6g}, {by[0]:.6g})"
-            if spread:
-                note += f", plus {spread}*i"
-    else:  # custom
+        return cfg.experiment, cfg.n, cfg.seed
+    if cfg.experiment == "custom":
         if cfg.problem_json is None:
             raise ConfigError("custom experiment needs --problem-json")
+        return cfg.experiment, Path(cfg.problem_json)
+    return (cfg.experiment,)
+
+
+def _build_problem(experiment: str, *args) -> QuadraticMinimaxProblem:
+    """The instance of a ``_problem_key``."""
+    if experiment == "counterexample":
+        return make_counterexample(*args)[0]
+    if experiment == "synthetic":
+        return make_synthetic(*args)
+    if experiment == "custom":
+        path, = args
         try:
-            doc = json.loads(Path(cfg.problem_json).read_text())
+            doc = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read problem JSON {cfg.problem_json}: {exc}") from exc
-        problem = QuadraticMinimaxProblem.from_dict(doc)
-        if cfg.topology is None:
-            raise ConfigError("custom experiment needs an explicit topology")
+            raise ConfigError(f"cannot read problem JSON {path}: {exc}") from exc
+        return QuadraticMinimaxProblem.from_dict(doc)
+    return make_two_node_case_study()
+
+
+def _prepare(cfg: RunConfig, problems: dict | None = None):
+    """The problem, weights, topology, start (X0, Y0) and its manifest note.
+
+    Every experiment takes its topology, node count, noise and start from
+    ``cfg`` by one rule; only the problem and the defaults differ.
+
+    ``problems`` maps a ``_problem_key`` to its instance: the problem is
+    taken from there when its key is present and added when not.  The
+    weights are built every time."""
+    kind, (bx, by, spread) = _DEFAULTS[cfg.experiment]
+    bx = bx if cfg.init_x is None else cfg.init_x
+    by = by if cfg.init_y is None else cfg.init_y
+    spread = spread if cfg.init_spread is None else cfg.init_spread
+    X0 = note = None
+    if cfg.experiment == "counterexample" and (
+            cfg.init_y is not None or cfg.init_spread is not None):
+        raise ConfigError(
+            "the counterexample starts on its invariance line at init_x; "
+            "init_y and init_spread do not apply"
+        )
+    key = _problem_key(cfg)
+    problems = {} if problems is None else problems
+    if key not in problems:
+        problems[key] = _build_problem(*key)
+    problem = problems[key]
+    if cfg.experiment == "counterexample":
+        if bx == 0.0:
+            raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
+        slope = problem.meta["init_slope"]
+        X0, Y0 = np.full((3, 1), float(bx)), np.full((3, 1), slope * float(bx))
+        note = f"all nodes at (x0, slope*x0) = ({bx}, {slope * bx})"
+    elif cfg.experiment == "synthetic" and cfg.init_x is None and cfg.init_y is None:
+        stat = problem.stationary_point()
+        if stat is None:
+            note = "origin (averaged objective has no unique stationary point)"
+        else:
+            bx, by = stat
+            note = f"all nodes at the stationary point ({bx[0]:.6g}, {by[0]:.6g})"
+        if spread:
+            note += f", plus {spread}*i"
+    elif cfg.experiment == "custom" and cfg.topology is None:
+        raise ConfigError("custom experiment needs an explicit topology")
 
     n = problem.n
     if cfg.n is not None and cfg.n != n:
@@ -216,10 +246,15 @@ def _gnuplot_script(algo_files: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(cfg: RunConfig) -> ExperimentResult:
+def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentResult:
     """Run all algorithm configs of an experiment; write its artifacts
-    unless ``cfg.out_dir`` is None."""
-    problem, wm, topo, X0, Y0, note = _prepare(cfg)
+    unless ``cfg.out_dir`` is None.
+
+    ``problems``, a dict the caller keeps over a series of experiments,
+    lets the series build each distinct problem once (see ``_problem_key``
+    for what an instance depends on).  Weights, start and manifest are
+    made anew, so the outputs equal those of a run without it."""
+    problem, wm, topo, X0, Y0, note = _prepare(cfg, problems)
 
     labels = []
     seen: dict[str, int] = {}

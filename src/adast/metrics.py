@@ -64,14 +64,21 @@ def grad_xf_sq(problem: QuadraticMinimaxProblem, xbar: np.ndarray, ybar: np.ndar
 
 def consensus_error(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared Frobenius deviation of each snapshot of the stacked iterates
-    X (R, n, p), Y (R, n, d) from its node mean, as a pair of (R,) arrays."""
+    X (R, n, p), Y (R, n, d) from its node mean, as a pair of (R,) arrays.
+
+    The deviations are taken on shifted data, each node minus node 0, so
+    nodes that agree give exactly 0 however large they are; the rounded
+    mean of the unshifted values can sit one rounding step off them, and
+    that step squared overflows for iterates near 1e170."""
 
     def dev_sq(V: np.ndarray) -> np.ndarray:
         V = np.asarray(V, dtype=float)
         if V.ndim != 3:
             raise ConfigError(f"consensus_error takes (R, n, dim) snapshots, got {V.shape}")
-        dev = V - np.add.reduce(V, axis=1, keepdims=True) / V.shape[1]
-        return np.add.reduce((dev * dev).reshape(len(V), -1), axis=1)
+        dev = V - V[:, :1]
+        dev -= np.add.reduce(dev, axis=1, keepdims=True) / V.shape[1]
+        dev *= dev
+        return np.add.reduce(dev.reshape(len(V), -1), axis=1)
 
     return dev_sq(X), dev_sq(Y)
 

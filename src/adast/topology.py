@@ -159,9 +159,8 @@ def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
 
     Requires an undirected, connected graph.
     """
-    one_way = np.argwhere(adj & ~adj.T)
-    if len(one_way):
-        i, j = one_way[0]
+    if not np.array_equal(adj, adj.T):
+        i, j = np.argwhere(adj & ~adj.T)[0]
         raise InvalidGraphError(
             f"metropolis weights need an undirected graph; edge {i}<-{j} has no reverse"
         )

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from adast import harness
 from adast.algorithms import AlgoConfig, Trace
 from adast.cli import main as cli_main
 from adast.errors import ConfigError
@@ -434,6 +435,73 @@ def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):
     assert rows[0][5:] != rows[2][5:]
 
 
+# sweep -> (its flags, its grids, the harness factory that builds its
+# problem, how many instances the grids need); "{problem}" stands for a
+# problem file
+_SHARED_PROBLEM_SWEEPS = {
+    "custom": (["--experiment", "custom", "--problem-json", "{problem}", "--topology", "ring",
+                "--n", "6", "--algos", "d-adast,d-adast-coord", "--init-x", "1",
+                "--init-y", "-1", "--init-spread", "0.01"],
+               ["--gamma-x-grid", "0.02,0.05", "--gamma-y-grid", "0.05,0.1"],
+               "from_dict", 1),
+    # the exponent pairs recur in the grid's order: 0.6, 0.9, 0.6, 0.9
+    "counterexample": (["--experiment", "counterexample", "--algos", "d-tiada,d-adast",
+                        "--beta", "0.25"],
+                       ["--gamma-x-grid", "1,2", "--alpha-grid", "0.6,0.9"],
+                       "make_counterexample", 2),
+    "synthetic": (["--experiment", "synthetic", "--n", "8", "--seed", "3",
+                   "--algos", "d-tiada,d-adast"],
+                  ["--gamma-x-grid", "0.02,0.05", "--alpha-grid", "0.6,0.75"],
+                  "make_synthetic", 1),
+}
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(counting) if isinstance(owner, type)
+                        else counting)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", sorted(_SHARED_PROBLEM_SWEEPS))
+def test_cli_sweep_builds_each_problem_once(tmp_path, capsys, monkeypatch, sweep):
+    flags, grids, factory, instances = _SHARED_PROBLEM_SWEEPS[sweep]
+    problem_json = tmp_path / "problem.json"
+    problem_json.write_text(json.dumps(make_random_problem(n=6, p=2, d=2, seed=4).to_dict()))
+    flags = [f.format(problem=problem_json) for f in flags] + ["--K", "100",
+                                                               "--trace-stride", "10"]
+    owner = QuadraticMinimaxProblem if factory == "from_dict" else harness
+    calls = _count_calls(monkeypatch, owner, factory)
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", *flags, *grids, "--out-dir", str(out)]) == 0
+    assert len(calls) == instances
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    cells = sorted({tuple(r[:4]) for r in rows})
+    assert len(cells) == 4
+    # each cell writes what `adast run` writes for it, timestamp apart
+    for gx, gy, al, be in cells:
+        alone = tmp_path / f"run_{gx}_{gy}_{al}_{be}"
+        assert cli_main(["run", *flags, "--gamma-x", gx, "--gamma-y", gy,
+                         "--alpha", al, "--beta", be, "--out-dir", str(alone)]) == 0
+        cell = out / f"gx{gx}_gy{gy}_a{al}_b{be}"
+        names = sorted(f.name for f in cell.iterdir())
+        assert names == sorted(f.name for f in alone.iterdir())
+        for name in names:
+            if name == "manifest.json":
+                ms = [json.loads((d / name).read_text()) for d in (cell, alone)]
+                for m in ms:
+                    m.pop("timestamp")
+                assert ms[0] == ms[1]
+            else:
+                assert (cell / name).read_bytes() == (alone / name).read_bytes()
+
+
 def test_cli_run_counterexample_runs_the_given_exponents(tmp_path, capsys):
     out = tmp_path / "ce"
     rc = cli_main([
@@ -505,6 +573,8 @@ _BAD_PROBLEM_FILES = {
     "n-disagrees": ((None, "n", 5), "'n' = 5"),
     "p-disagrees": ((None, "p", 7), "'p' = 7"),
     "d-disagrees": ((None, "d", 1), "'d' = 1"),
+    # under `adast sweep` the file is read before the first cell
+    "sweep-wrong-shape": ((1, "B", [[1.0]]), "B[1]"),
 }
 
 
@@ -524,8 +594,10 @@ def test_cli_run_malformed_problem_json_exits_2(tmp_path, capsys, case):
     if content is not None:
         problem_json.write_text(content)
     out = tmp_path / "out"
+    command = (["sweep", "--gamma-x-grid", "0.1,0.2"] if case.startswith("sweep-")
+               else ["run"])
     rc = cli_main([
-        "run", "--experiment", "custom", "--problem-json", str(problem_json),
+        *command, "--experiment", "custom", "--problem-json", str(problem_json),
         "--topology", "ring", "--n", "3", "--algos", "d-adast", "--K", "10",
         "--out-dir", str(out),
     ])

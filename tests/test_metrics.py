@@ -90,6 +90,17 @@ def test_consensus_error_examples():
         consensus_error(X2[0], X2[0])  # one snapshot, not a stack of them
 
 
+@pytest.mark.parametrize("value", [1e160, 0.1 * 2.0 ** 566, 0.1 * 2.0 ** 568])
+def test_consensus_error_of_equal_nodes_is_exactly_zero(value):
+    # the rounded mean of three equal values can be one rounding step off
+    # them: squared, that step read 3.37e307 at 0.1 * 2^566 and inf at
+    # 0.1 * 2^568 (9.7e169, the size of the counterexample's d-sgda iterates)
+    X = np.full((2, 3, 2), value)
+    X[1] *= -1.0
+    cx, cy = consensus_error(X, X[:, :, :1])
+    assert cx.tolist() == cy.tolist() == [0.0, 0.0]
+
+
 def test_grad_phi_sq_examples():
     case = make_two_node_case_study()
     for x in (0.0, 1.0, -2.5):
@@ -142,8 +153,10 @@ def test_batched_metrics_match_single_record_forms():
             assert gphi[t] == float(g @ g)
             g = prob.grad_x_avg(xbars[t:t + 1], ybars[t:t + 1])[0]
             assert gxf[t] == float(g @ g)
-            dx = Xs[t] - Xs[t].mean(axis=0)
-            dy = Ys[t] - Ys[t].mean(axis=0)
+            # deviations of the data shifted by node 0
+            sx, sy = Xs[t] - Xs[t][0], Ys[t] - Ys[t][0]
+            dx = sx - sx.mean(axis=0)
+            dy = sy - sy.mean(axis=0)
             cx1, cy1 = consensus_error(Xs[t:t + 1], Ys[t:t + 1])
             assert (cx[t], cy[t]) == (cx1[0], cy1[0])
             assert (cx[t], cy[t]) == (float(np.sum(dx * dx)), float(np.sum(dy * dy)))

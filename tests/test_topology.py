@@ -78,8 +78,13 @@ def test_metropolis_complete_gives_uniform():
 
 def test_metropolis_rejects_directed_and_disconnected():
     directed = build_graph(GraphSpec(n=3, kind=GraphKind.DIRECTED_RING))
-    with pytest.raises(InvalidGraphError):
+    with pytest.raises(InvalidGraphError, match="edge 0<-1 has no reverse"):
         metropolis_weights(directed)
+    # a path with two one-way edges: the message names the first in row order
+    one_way = build_graph(GraphSpec(n=4, kind=GraphKind.CUSTOM, edges=(
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (0, 2))))
+    with pytest.raises(InvalidGraphError, match="edge 0<-2 has no reverse"):
+        metropolis_weights(one_way)
     two_pairs = build_graph(
         GraphSpec(n=4, kind=GraphKind.CUSTOM, edges=((0, 1), (1, 0), (2, 3), (3, 2)))
     )

@@ -11,11 +11,14 @@ second trace takes a de-duplicated label), of the counterexample at two
 starts, of a noisy synthetic run, of a coordinate-wise run, and of two
 noisy runs of a custom 60-node ring problem whose sides differ in size
 (p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise; a
-custom sweep on a 60-node ring and a counterexample exponent sweep with
-their ``sweep.csv``; three ``adast counterexample`` reports, the third with a
-d-adast horizon (``--K-escape``) and a primal stepsize of its own; and
-five ``adast spectral`` lines, one per graph kind the command line can
-build.  Each lands in its own subdirectory of OUT_DIR.
+custom sweep on a 60-node ring, a counterexample exponent sweep and a
+noisy synthetic sweep on 16 nodes over a primal-stepsize and an exponent
+grid, each with its ``sweep.csv`` (the cells of a sweep share one
+problem instance per key, so these check that sharing); three ``adast
+counterexample`` reports, the third with a d-adast horizon
+(``--K-escape``) and a primal stepsize of its own; and five ``adast
+spectral`` lines, one per graph kind the command line can build.  Each
+lands in its own subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -106,6 +109,10 @@ def write_set(src: Path, out: Path) -> None:
         "counterexample-sweep": ["sweep", "--experiment", "counterexample",
                                  "--algos", "d-tiada,d-adast", "--alpha-grid", "0.75,0.9",
                                  "--K", "5000", "--trace-stride", "10"],
+        "synthetic-sweep": ["sweep", "--experiment", "synthetic", "--n", "16", "--seed", "7",
+                            "--algos", "d-tiada,d-adast,d-adast-coord", "--K", "2000",
+                            "--gamma-x-grid", "0.02,0.05", "--alpha-grid", "0.6,0.75",
+                            "--trace-stride", "20"],
     }
     for name, argv in runs.items():
         _adast(src, [*argv, "--out-dir", str(out / name)])
