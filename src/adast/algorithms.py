@@ -35,13 +35,14 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigError
 from .metrics import TRACE_HEADER, consensus_error, grad_phi_sq, grad_xf_sq
 from .metrics import zeta_hat_series as _zeta_hat_series
 from .metrics import zeta_series as _zeta_series
 from .problems import ALL, GradientStream, NoiseModel, ProjectionSet, QuadraticMinimaxProblem, \
-    project, sample_grad_block
+    project, require_finite, sample_grad_block
 
 __all__ = [
     "ALGORITHMS",
@@ -85,6 +86,7 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
+        require_finite(gamma_x=self.gamma_x, gamma_y=self.gamma_y, c0=self.c0)
         if self.gamma_x <= 0 or self.gamma_y <= 0:
             raise ConfigError("stepsizes gamma_x and gamma_y must be positive")
         if self.c0 < 0:
@@ -210,31 +212,9 @@ class Trace:
 def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One gossip round in the mean-centered form (see module docstring).
 
-    W is a dense matrix or a ``_Gather``; only ``W @`` is used."""
+    W is a dense matrix or a ``csr_array``; only ``W @`` is used."""
     m = np.add.reduce(V, axis=0) / V.shape[0]
     return np.add(m, W @ (V - m), out=out)
-
-
-class _Gather:
-    """A sparse W as padded neighbour lists: row i of ``W @ D`` sums the
-    rows idx[i] of D weighted by w[i], O(n k c) instead of the dense
-    GEMM's O(n^2 c).  Rows with fewer than k nonzeros pad with their own
-    index at weight 0."""
-
-    def __init__(self, W: np.ndarray, k: int):
-        n = W.shape[0]
-        rows, cols = np.nonzero(W)
-        counts = np.bincount(rows, minlength=n)
-        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.repeat(np.arange(n)[:, None], k, axis=1)
-        idx[rows, slot] = cols
-        self.idx = idx.ravel()
-        self.w = np.zeros((n, k))
-        self.w[rows, slot] = W[rows, cols]
-
-    def __matmul__(self, D: np.ndarray) -> np.ndarray:
-        n, k = self.w.shape
-        return np.einsum("nk,nkc->nc", self.w, np.take(D, self.idx, axis=0).reshape(n, k, -1))
 
 
 def _neg_pow(m: np.ndarray, neg_expo) -> np.ndarray:
@@ -302,14 +282,14 @@ class _Stepper:
         p, d = state.p, state.d
         a = p + d
         self.Z, self.p, self.a, self.q = Z, p, a, cols - a
-        # Gossip by neighbour gather when the widest row of W has k nonzeros
+        # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
-        # dense / gather, 2-core box, 2 columns: ring (k = 3) n = 128 16 / 23,
-        # n = 200 23 / 28, n = 400 39 / 29 (96 / 40 at 8 columns), n = 1600
-        # 1508 / 128; exponential n = 400 (k = 10) 48 / 45, n = 1024 (k = 11)
-        # 568 / 108; dense n = 400 (k = 201) 31 / 561.
+        # dense / CSR, 2-core box, 2 columns: ring (k = 3) n = 128 18 / 21,
+        # n = 200 24 / 21, n = 400 62 / 33 (122 / 45 at 8 columns), n = 1600
+        # 1813 / 99; exponential n = 400 (k = 10) 57 / 46, n = 1024 (k = 11)
+        # 745 / 85; dense n = 400 (k = 201) 56 / 317.
         k = int(np.count_nonzero(W, axis=1).max())
-        self.W = _Gather(W, k) if k * 64 < n else W
+        self.W = csr_array(W) if k * 64 < n else W
         self.coord = state.coord
         self.adaptive = cfg.algo in ADAPTIVE_ALGORITHMS
         tracking = cfg.algo in TRACKING_ALGORITHMS

@@ -224,11 +224,14 @@ def cmd_sweep(argv: list[str]) -> int:
             "iters_to_threshold,aborted"]
     any_abort = False
     base_out = Path(args.out_dir) if args.out_dir else Path("runs/sweep")
-    # the cells' problems, each built once; the cells' results are not kept
-    problems: dict = {}
+    # every cell's config is validated before any cell runs or writes
+    cells = []
     for gx, gy, al, be in product(gx_grid, gy_grid, al_grid, be_grid):
         args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
-        cfg = _run_config_from_args(args)
+        cells.append(((gx, gy, al, be), _run_config_from_args(args)))
+    # the cells' problems, each built once; the cells' results are not kept
+    problems: dict = {}
+    for (gx, gy, al, be), cfg in cells:
         cfg.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
         for label, trace in run_experiment(cfg, problems).traces.items():
             any_abort = any_abort or trace.aborted

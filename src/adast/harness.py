@@ -28,6 +28,7 @@ from .problems import (
     make_counterexample,
     make_synthetic,
     make_two_node_case_study,
+    require_finite,
 )
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
@@ -73,6 +74,9 @@ class RunConfig:
             raise ConfigError("at least one algorithm config is required")
         if self.trace_stride < 1:
             raise ConfigError("trace_stride must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        require_finite(init_x=self.init_x, init_y=self.init_y, init_spread=self.init_spread)
 
 
 @dataclass
@@ -255,6 +259,12 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
     for what an instance depends on).  Weights, start and manifest are
     made anew, so the outputs equal those of a run without it."""
     problem, wm, topo, X0, Y0, note = _prepare(cfg, problems)
+    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     labels = []
     seen: dict[str, int] = {}
@@ -305,9 +315,7 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
         "traces": {label: f"trace_{label}.csv" for label in labels},
     }
 
-    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for label, trace in trace_map.items():
             write_trace(trace, out_dir / f"trace_{label}.csv")
         # streamed, not joined first: a 400-node manifest is about 1 MB of text

@@ -252,6 +252,13 @@ class QuadraticMinimaxProblem:
         return problem
 
 
+def require_finite(**values: float | None) -> None:
+    """Raise ConfigError naming the first value that is NaN or +-inf (None passes)."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive gradient noise: none, Gaussian, or norm-clipped Gaussian."""
@@ -263,6 +270,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian", "gaussian-clipped"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        require_finite(sigma=self.sigma, clip=self.clip)
         if self.kind != "none" and self.sigma <= 0:
             raise ConfigError("gaussian noise needs sigma > 0")
         if self.kind == "gaussian-clipped" and (self.clip is None or self.clip <= 0):

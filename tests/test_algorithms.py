@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from adast.algorithms import (
     AbortInfo,
@@ -72,15 +73,13 @@ def test_mix_preserves_average_and_reaches_consensus():
 @given(n=st.integers(2, 40), cols=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        scale=st.integers(-3, 3))
 def test_mix_conserves_column_means_on_both_paths(n, cols, seed, scale):
-    from adast.algorithms import _Gather
-
     W = sinkhorn_doubly_stochastic(n, seed)
     rng = np.random.default_rng(seed)
     V = (rng.standard_normal((n, cols)) + 10.0 * rng.standard_normal(cols)) * 10.0**scale
     mean = V.mean(axis=0)
     # two n-term means and one add, each rounding at most n eps max|V|
     tol = 4 * n * np.finfo(float).eps * np.abs(V).max()
-    for Wm in (W, _Gather(W, n)):
+    for Wm in (W, csr_array(W)):
         assert np.abs(mix(Wm, V).mean(axis=0) - mean).max() <= tol
 
 
@@ -97,11 +96,8 @@ def _sparse_doubly_stochastic(n, seed, symmetric=False):
 
 @pytest.mark.parametrize("n,symmetric", [(256, False), (512, True), (1000, False)])
 def test_gather_matches_dense_product_and_conserves_mass(n, symmetric):
-    from adast.algorithms import _Gather
-
     W = _sparse_doubly_stochastic(n, seed=n, symmetric=symmetric)
-    k = int(np.count_nonzero(W, axis=1).max())
-    G = _Gather(W, k)
+    G = csr_array(W)
     rng = np.random.default_rng(1)
     for c in (1, 2, 9):
         D = rng.standard_normal((n, c)) * 10
@@ -121,10 +117,10 @@ def test_large_ring_run_on_the_gather_matches_the_dense_run(monkeypatch):
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.05, gamma_y=0.1, K=200)
     kw = dict(x0=np.linspace(-1, 1, 400)[:, None] * [1.0, 0.5], y0=0.2, seed=3, trace_stride=10)
     state = alg._initial_state(prob, cfg, None, None)
-    assert isinstance(alg._Stepper(state, W, cfg).W, alg._Gather)
+    assert isinstance(alg._Stepper(state, W, cfg).W, csr_array)
     got = run(prob, W, cfg, NoiseModel.gaussian(0.1), **kw)
     with monkeypatch.context() as m:
-        m.setattr(alg, "_Gather", lambda W, k: W)
+        m.setattr(alg, "csr_array", lambda W: W)
         ref = run(prob, W, cfg, NoiseModel.gaussian(0.1), **kw)
     assert np.array_equal(got.k, ref.k)
     for name in ("grad_phi_sq", "grad_xf_sq", "consensus_x", "consensus_y", "zeta_v_inst",

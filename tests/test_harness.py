@@ -609,6 +609,66 @@ def test_cli_run_malformed_problem_json_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_cli_run_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["run", "--experiment", "synthetic", "--n", "3", "--seed", "-1",
+                   "--K", "10", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--gamma-x-grid", "0.1,0.2"]])
+def test_cli_out_dir_under_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # a path below a regular file cannot be created, also for root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a method ran"))
+    out = blocker / "sub"
+    rc = cli_main([*command, "--experiment", "case-study", "--algos", "d-sgda,d-adast",
+                   "--K", "10", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and str(out) in err and "Traceback" not in err
+
+
+# flag -> (the field the error names, flags that make the flag take effect)
+_FINITE_FLAGS = {
+    "--gamma-x": ("gamma_x", []),
+    "--gamma-y": ("gamma_y", []),
+    "--c0": ("c0", []),
+    "--sigma": ("sigma", []),
+    "--clip": ("clip", ["--noise", "gaussian-clipped"]),
+    "--init-x": ("init_x", []),
+    "--init-y": ("init_y", []),
+    "--init-spread": ("init_spread", []),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(_FINITE_FLAGS))
+def test_cli_run_non_finite_number_exits_2(tmp_path, capsys, flag, value):
+    name, more = _FINITE_FLAGS[flag]
+    out = tmp_path / "out"
+    rc = cli_main(["run", "--experiment", "synthetic", "--n", "3", "--algos", "d-adast",
+                   "--K", "10", *more, f"{flag}={value}", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and f"{name} must be finite" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_non_finite_grid_value_writes_no_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["sweep", "--experiment", "case-study", "--algos", "d-adast", "--K", "10",
+                   "--gamma-x-grid", "0.1,nan", "--out-dir", str(out)])
+    assert rc == 2
+    assert "gamma_x must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_empty_grid(tmp_path):
     rc = cli_main([
         "sweep", "--experiment", "case-study", "--algos", "d-adast",

@@ -10,7 +10,10 @@ CSVs of the case study (once more with one method listed twice, so the
 second trace takes a de-duplicated label), of the counterexample at two
 starts, of a noisy synthetic run, of a coordinate-wise run, and of two
 noisy runs of a custom 60-node ring problem whose sides differ in size
-(p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise; a
+(p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise, and
+of two runs of all four methods on a custom 256-node ring problem, one
+with Gaussian noise and one with exact gradients and post-mix stepsizes
+(the only runs whose W is sparse enough to gossip by the CSR product); a
 custom sweep on a 60-node ring, a counterexample exponent sweep and a
 noisy synthetic sweep on 16 nodes over a primal-stepsize and an exponent
 grid, each with its ``sweep.csv`` (the cells of a sweep share one
@@ -76,6 +79,8 @@ def write_set(src: Path, out: Path) -> None:
     problem_json.write_text(json.dumps(ring_problem(60, 2, 2, seed=5)))
     wide_json = out / "ring-problem-p3-d2.json"
     wide_json.write_text(json.dumps(ring_problem(60, 3, 2, seed=6)))
+    ring256_json = out / "ring-problem-256.json"
+    ring256_json.write_text(json.dumps(ring_problem(256, 2, 2, seed=8)))
     # the counterexample's start flag was --ce-x0 before it became --init-x
     x0_flag = "--ce-x0" if "--ce-x0" in _adast(src, ["run", "--help"]) else "--init-x"
     ce = ["--experiment", "counterexample", "--alpha", "0.75", "--beta", "0.25",
@@ -84,6 +89,11 @@ def write_set(src: Path, out: Path) -> None:
     wide = ["--experiment", "custom", "--problem-json", str(wide_json), "--topology", "ring",
             "--n", "60", "--K", "3000", "--seed", "4", "--init-x", "1", "--init-y", "-1",
             "--init-spread", "0.01", "--trace-stride", "30"]
+    # a 256-node ring has 3 nonzeros per row of W and 3 * 64 < 256, so it
+    # gossips by the sparse product; every other graph here is dense
+    ring256 = ["--experiment", "custom", "--problem-json", str(ring256_json), "--topology",
+               "ring", "--n", "256", "--algos", "d-sgda,d-tiada,d-adast,d-adast-coord",
+               "--K", "500", "--trace-stride", "10"]
     runs = {
         "case-study": ["run", "--experiment", "case-study", "--K", "20000",
                        "--trace-stride", "1"],
@@ -99,6 +109,9 @@ def write_set(src: Path, out: Path) -> None:
                          "--noise", "gaussian", "--gamma-x", "0.05"],
         "custom-clipped": ["run", *wide, "--algos", "d-tiada,d-adast,d-adast-coord",
                            "--noise", "gaussian-clipped", "--sigma", "2", "--clip", "1.5"],
+        "custom-ring256-noisy": ["run", *ring256, "--noise", "gaussian"],
+        "custom-ring256-mixed": ["run", *ring256, "--noise", "none",
+                                 "--stepsize-source", "mixed"],
         "custom-sweep": ["sweep", "--experiment", "custom", "--problem-json",
                          str(problem_json), "--topology", "ring", "--n", "60",
                          "--algos", "d-sgda,d-adast,d-adast-coord", "--noise", "none",
