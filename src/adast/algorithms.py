@@ -1,9 +1,9 @@
 """The stepper shared by the four methods, and the run loop.
 
-Node state is one block Z = [X | Y | Mx | My]: the iterates X (n, p) and
-Y (n, d), then the accumulators, one column each for d-sgda / d-tiada /
-d-adast and one per coordinate ((n, p) and (n, d)) for the
-coordinate-wise variant.  The methods differ in four switches only:
+Node state is the iterates X (n, p) and Y (n, d) and the accumulators Mx
+and My, one column each for d-sgda / d-tiada / d-adast and one per
+coordinate ((n, p) and (n, d)) for the coordinate-wise variant.  The
+methods differ in four switches only:
 
 - constant (d-sgda) or adaptive stepsizes;
 - accumulators kept local (d-tiada) or mixed with the iterates
@@ -13,6 +13,13 @@ coordinate-wise variant.  The methods differ in four switches only:
   round (``stepsize_source="local"``, the pseudo-code ordering: one round
   for all four quantities) or after it (``"mixed"``, the compact-form
   ordering, which costs an extra round).
+
+The state lives in one flat buffer, laid out by what one gossip round
+mixes, so that every block a round or an elementwise update touches is
+one C-contiguous array.  With pre-mix tracking the accumulators ride in
+the iterate round and the buffer is the single block [X | Y | Mx | My]
+(n, p + d + q); otherwise it is the block [X | Y] (n, p + d) followed by
+the block [Mx | My] (n, q).
 
 With one accumulator per node the primal stepsize is
 gamma_x * max(m_x, m_y)^(-alpha) for every adaptive method.  D-AdaST's
@@ -115,37 +122,57 @@ class AlgoConfig:
         }
 
 
+def _blocks(Z: np.ndarray, n: int, a: int, split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The iterates [X | Y] (..., n, a) and the accumulators [Mx | My]
+    (..., n, q) of flat state buffers Z (..., N), as views.
+
+    Split, the buffer is the block [X | Y] followed by the block [Mx | My];
+    otherwise it is the one block [X | Y | Mx | My] (see module docstring)."""
+    lead = Z.shape[:-1]
+    if split:
+        return Z[..., :n * a].reshape(*lead, n, a), Z[..., n * a:].reshape(*lead, n, -1)
+    block = Z.reshape(*lead, n, -1)
+    return block[..., :a], block[..., a:]
+
+
+def _sides(M: np.ndarray, p: int, coord: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y parts of accumulator-shaped columns M (..., n, q): (..., n)
+    each, or (..., n, p) and (..., n, d) for the coordinate-wise variant."""
+    return (M[..., :p], M[..., p:]) if coord else (M[..., 0], M[..., 1])
+
+
 @dataclass
 class RunState:
-    """Stacked node state; X, Y, Mx and My are views into the block Z.
+    """Stacked node state in the flat buffer Z (see module docstring).
 
-    Mx / My are (n,) with one accumulator per node and (n, p) / (n, d)
-    for the coordinate-wise variant.
+    XY = [X | Y] (n, p + d) and M = [Mx | My] (n, q) are views into Z, and
+    X, Y, Mx and My views into those.  Mx / My are (n,) with one
+    accumulator per node and (n, p) / (n, d) for the coordinate-wise
+    variant.
     """
 
-    Z: np.ndarray  # (n, p + d + qx + qy)
+    Z: np.ndarray
+    XY: np.ndarray
+    M: np.ndarray
     p: int
-    d: int
     coord: bool = False
     k: int = 0
 
     @property
     def X(self) -> np.ndarray:
-        return self.Z[:, :self.p]
+        return self.XY[:, :self.p]
 
     @property
     def Y(self) -> np.ndarray:
-        return self.Z[:, self.p:self.p + self.d]
+        return self.XY[:, self.p:]
 
     @property
     def Mx(self) -> np.ndarray:
-        a = self.p + self.d
-        return self.Z[:, a:a + self.p] if self.coord else self.Z[:, a]
+        return _sides(self.M, self.p, self.coord)[0]
 
     @property
     def My(self) -> np.ndarray:
-        a = self.p + self.d
-        return self.Z[:, a + self.p:] if self.coord else self.Z[:, a + 1]
+        return _sides(self.M, self.p, self.coord)[1]
 
 
 @dataclass(frozen=True)
@@ -213,8 +240,20 @@ def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     """One gossip round in the mean-centered form (see module docstring).
 
     W is a dense matrix or a ``csr_array``; only ``W @`` is used."""
-    m = np.add.reduce(V, axis=0) / V.shape[0]
+    m = _column_sums(V)
+    m /= len(V)
     return np.add(m, W @ (V - m), out=out)
+
+
+def _column_sums(V: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(V, axis=0)``, bit for bit.
+
+    Over two or more columns both this einsum and the ufunc add the rows in
+    order; past about 64 rows the einsum loop is the cheaper (3.8 against
+    8.7 us at n = 400, 8 columns).  One column each sums its own way."""
+    if V.ndim == 2 and V.shape[1] > 1 and len(V) > 64:
+        return np.einsum("ni->i", V)
+    return np.add.reduce(V, axis=0)
 
 
 def _neg_pow(m: np.ndarray, neg_expo) -> np.ndarray:
@@ -239,10 +278,6 @@ def _psi(mx_pow: np.ndarray, my_pow: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, mx_pow / safe, 1.0)
 
 
-def _row_sq_norms(G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.einsum("np,np->n", G, G, out=out)
-
-
 def _initial_state(
     problem: QuadraticMinimaxProblem, cfg: AlgoConfig, x0, y0
 ) -> RunState:
@@ -261,27 +296,36 @@ def _initial_state(
         raise ConfigError(f"{name} must be scalar, ({dim},) or ({n},{dim}), got {arr.shape}")
 
     coord = cfg.algo == "d-adast-coord"
-    M = np.full((n, p + d if coord else 2), cfg.c0)
-    Z = np.concatenate([expand(x0, p, "x0"), expand(y0, d, "y0"), M], axis=1)
-    return RunState(Z=Z, p=p, d=d, coord=coord)
+    a, q = p + d, p + d if coord else 2
+    Z = np.empty(n * (a + q))
+    XY, M = _blocks(Z, n, a, split=not _pre_mix(cfg))
+    XY[:, :p] = expand(x0, p, "x0")
+    XY[:, p:] = expand(y0, d, "y0")
+    M[...] = cfg.c0
+    return RunState(Z=Z, XY=XY, M=M, p=p, coord=coord)
+
+
+def _pre_mix(cfg: AlgoConfig) -> bool:
+    """Whether the accumulators are tracked and ride in the iterate round."""
+    return cfg.algo in TRACKING_ALGORITHMS and cfg.stepsize_source == "local"
 
 
 class _Stepper:
-    """One iteration of the configured method, in place on a state block.
+    """One iteration of the configured method, in place on the state buffer.
 
-    ``step(G, row)`` takes the sampled gradients G = [GX | GY] (n, p + d)
-    and writes into ``row`` (n, width) the squared-gradient increments of
-    the accumulators, H, followed for the adaptive methods by the applied
-    stepsize denominators D = [v | u] (v = max(m_x, m_y), u = m_y; v = m_x
-    for the coordinate-wise variant when p != d).
+    ``step(G, H, D)`` takes the sampled gradients G = [GX | GY] (n, p + d)
+    and writes into H (n, q) the squared-gradient increments of the
+    accumulators and, for the adaptive methods, into D (n, q) the applied
+    stepsize denominators [v | u] (v = max(m_x, m_y), u = m_y; v = m_x for
+    the coordinate-wise variant when p != d).  The pre-mix buffer B has
+    the state's layout, so each round mixes one contiguous block.
     """
 
     def __init__(self, state: RunState, W: np.ndarray, cfg: AlgoConfig):
-        Z = state.Z
-        n, cols = Z.shape
-        p, d = state.p, state.d
-        a = p + d
-        self.Z, self.p, self.a, self.q = Z, p, a, cols - a
+        XY, M = state.XY, state.M
+        n, a = XY.shape
+        p = state.p
+        self.Z, self.p, self.a, self.q = state.Z, p, a, M.shape[1]
         # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
         # dense / CSR, 2-core box, 2 columns: ring (k = 3) n = 128 18 / 21,
@@ -292,35 +336,41 @@ class _Stepper:
         self.W = csr_array(W) if k * 64 < n else W
         self.coord = state.coord
         self.adaptive = cfg.algo in ADAPTIVE_ALGORITHMS
-        tracking = cfg.algo in TRACKING_ALGORITHMS
-        self.post_mix = tracking and cfg.stepsize_source == "mixed"
-        self.pre_mix = tracking and not self.post_mix
+        self.pre_mix = _pre_mix(cfg)
+        self.post_mix = cfg.algo in TRACKING_ALGORITHMS and not self.pre_mix
+        self.split = not self.pre_mix
         self.projection = None if cfg.projection.kind == "all" else cfg.projection
-        self.width = 2 * self.q if self.adaptive else self.q
         # one accumulator per side over several coordinates: sum squares per row
         self.row_norms = not self.coord and a > 2
+        self.sides = (p, a - p)
         self.alpha = cfg.alpha
-        self.coef = np.repeat([-cfg.gamma_x, cfg.gamma_y], [p, d])
-        self.neg_expo = -np.repeat([cfg.alpha, cfg.beta], [p, d] if self.coord else [1, 1])
-        self.side = np.repeat([0, 1], [p, d])  # stepsize column of each entry
+        # per-entry constants at full size, so that no ufunc loops over a
+        # broadcast row: a (n, k) operand broadcast from (k,) runs n loops of k
+        self.coef = np.tile(np.repeat([-cfg.gamma_x, cfg.gamma_y], self.sides), (n, 1))
+        self.neg_expo = np.tile(
+            -np.repeat([cfg.alpha, cfg.beta], self.sides if self.coord else (1, 1)), (n, 1))
         self.psi = np.ones((n, a))  # coordinate-wise psi on the x columns, 1 on the y columns
         self.S = np.empty((n, a))  # signed stepsize of every iterate entry
-        B = np.empty_like(Z)  # the pre-mix block
-        self.XY, self.M, self.Y = Z[:, :a], Z[:, a:], Z[:, p:a]
-        self.B_XY, self.B_M = B[:, :a], B[:, a:]
+        self.sq = np.empty_like(M) if self.coord else None  # squared coordinate-wise accumulators
+        B = np.empty_like(self.Z)  # the pre-mix buffer
+        self.XY, self.M, self.Y = XY, M, XY[:, p:]
+        self.B_XY, self.B_M = _blocks(B, n, a, self.split)
         # accumulators ride along in the iterate round for pre-mix tracking
-        n_mix = cols if self.pre_mix else a
-        self.mix_in, self.mix_out = B[:, :n_mix], Z[:, :n_mix]
+        self.mix_in, self.mix_out = (
+            (self.B_XY, XY) if self.split else (B.reshape(n, -1), self.Z.reshape(n, -1)))
         # the accumulators the stepsize reads, and their x and y parts
-        M = self.B_M if self.pre_mix else self.M
-        self.mx, self.my = (M[:, :p], M[:, p:]) if self.coord else (M[:, 0], M[:, 1])
-        self.M_read = M
+        self.M_read = self.B_M if self.pre_mix else M
+        self.mx, self.my = _sides(self.M_read, p, self.coord)
 
-    def step(self, G: np.ndarray, row: np.ndarray) -> None:
-        H = row[:, :self.q]
+    def step(self, G: np.ndarray, H: np.ndarray, D: np.ndarray) -> None:
         if self.row_norms:
-            _row_sq_norms(G[:, :self.p], out=H[:, 0])
-            _row_sq_norms(G[:, self.p:], out=H[:, 1])
+            p, d = self.sides
+            if p == d:  # both sides at once, the same sums as one side at a time
+                G3 = G.reshape(len(G), 2, p)
+                np.einsum("nsp,nsp->ns", G3, G3, out=H)
+            else:
+                np.einsum("np,np->n", G[:, :p], G[:, :p], out=H[:, 0])
+                np.einsum("np,np->n", G[:, p:], G[:, p:], out=H[:, 1])
         else:
             np.multiply(G, G, out=H)
         if self.adaptive:
@@ -331,9 +381,9 @@ class _Stepper:
             else:
                 np.add(self.M, H, out=self.M)
             if self.coord:
-                self._coord_stepsizes(row[:, self.q:])
+                self._coord_stepsizes(D)
             else:
-                self._scalar_stepsizes(row[:, self.q:])
+                self._scalar_stepsizes(D)
             np.multiply(self.S, G, out=self.S)
         else:
             np.multiply(G, self.coef, out=self.S)
@@ -347,21 +397,25 @@ class _Stepper:
         D[:, 1] = self.my
         s = _neg_pow(D, self.neg_expo)
         if self.row_norms:  # spread the two stepsizes over the p + d entries
-            s = np.take(s, self.side, axis=1, out=self.S)
+            s = np.repeat(s, self.sides, axis=1)
         np.multiply(s, self.coef, out=self.S)
 
     def _coord_stepsizes(self, D: np.ndarray) -> None:
-        mx, my, al = self.mx, self.my, self.alpha
-        # row norms as np.linalg.norm computes them, without its dispatch
-        self.psi[:, :self.p] = _psi(
-            np.sqrt(np.add.reduce(mx * mx, axis=1)) ** (2 * al),
-            np.sqrt(np.add.reduce(my * my, axis=1)) ** (2 * al),
-        )[:, None]
+        mx, my, (p, d) = self.mx, self.my, self.sides
+        # row norms as np.linalg.norm computes them, without its dispatch;
+        # with p == d both sides in one multiply and one reduction
+        if p == d:
+            sq = np.multiply(self.M_read, self.M_read, out=self.sq)
+            norms = np.add.reduce(sq.reshape(len(sq), 2, p), axis=2)
+        else:
+            norms = np.stack([np.add.reduce(mx * mx, axis=1), np.add.reduce(my * my, axis=1)], 1)
+        norms = np.sqrt(norms, out=norms) ** (2 * self.alpha)
+        self.psi[:, :p] = _psi(norms[:, 0], norms[:, 1])[:, None]
         np.multiply(self.coef, self.psi, out=self.S)
         self.S *= _neg_pow(self.M_read, self.neg_expo)
         D[:] = self.M_read
-        if mx.shape == my.shape:
-            np.maximum(mx, my, out=D[:, :self.p])
+        if p == d:
+            np.maximum(mx, my, out=D[:, :p])
 
 
 def _find_nonfinite(state: RunState) -> tuple[int, str]:
@@ -376,20 +430,22 @@ def _find_nonfinite(state: RunState) -> tuple[int, str]:
 class _Tally:
     """Reduces the run loop's buffers into the trace, a chunk at a time.
 
-    ``rows`` receives one stepper row per iteration and ``snaps`` a copy of
-    the state block per record; ``flush(j, r)`` reduces the first j rows
-    into the per-iteration series and the first r snapshots into record
-    columns.  A chunk holds about _CHUNK_DOUBLES doubles, so memory does
-    not grow with K beyond the series and records themselves.
+    ``H`` and ``D`` receive the stepper's increments and denominators, one
+    (n, q) row per iteration, and ``snaps`` a copy of the flat state buffer
+    per record; ``flush(j, r)`` reduces the first j rows into the
+    per-iteration series and the first r snapshots into record columns.  A
+    chunk holds about _CHUNK_DOUBLES doubles, so memory does not grow with
+    K beyond the series and records themselves.
     """
 
     def __init__(self, problem, cfg: AlgoConfig, stepper: _Stepper, trace_stride: int):
-        n, cols = stepper.Z.shape
+        size, n, q = stepper.Z.size, len(stepper.XY), stepper.q
         self.problem, self.cfg, self.stepper = problem, cfg, stepper
-        self.chunk = max(1, min(cfg.K, _CHUNK_DOUBLES // (n * cols)))
-        self.rows = np.empty((self.chunk, n, stepper.width))
+        self.chunk = max(1, min(cfg.K, _CHUNK_DOUBLES // size))
+        self.H = np.empty((self.chunk, n, q))
+        self.D = np.empty((self.chunk, n, q if stepper.adaptive else 0))
         # records of one chunk, plus the one at k = 0 and the final one
-        self.snaps = np.empty((self.chunk // trace_stride + 3, n, cols))
+        self.snaps = np.empty((self.chunk // trace_stride + 3, size))
         self.ks: list[int] = []
         # gsum_x, gsum_y, zeta_v, zeta_u, zeta_v_hat
         self.series: list[list[np.ndarray]] = [[np.zeros(0)] for _ in range(5)]
@@ -397,43 +453,38 @@ class _Tally:
         self.columns: list[list[np.ndarray]] = [[] for _ in range(6)]
         self.gsum = [0.0, 0.0]
 
-    def _acc(self, A: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y parts of the accumulator-shaped columns of A (R, n, .)
-        that start at column ``at``: (R, n) each, or (R, n, p) / (R, n, d)."""
-        p, q = self.stepper.p, self.stepper.q
-        if self.stepper.coord:
-            return A[:, :, at:at + p], A[:, :, at + p:at + q]
-        return A[:, :, at], A[:, :, at + 1]
-
     def flush(self, j: int, r: int) -> None:
         st, cfg = self.stepper, self.cfg
         if j:
-            rows = self.rows[:j]
-            for i, h in enumerate(self._acc(rows, 0)):
+            for i, h in enumerate(_sides(self.H[:j], st.p, st.coord)):
                 h = np.ascontiguousarray(h).reshape(j, -1)
                 g = np.add.reduce(h, axis=1) / h.shape[1]
                 g[0] += self.gsum[i]
                 self.series[i].append(np.cumsum(g))
                 self.gsum[i] = float(self.series[i][-1][-1])
             if st.adaptive:
-                V, U = (np.ascontiguousarray(m) for m in self._acc(rows, st.q))
-                zeta = [_zeta_series(V, cfg.alpha), _zeta_series(U, cfg.beta)]
+                # one side's contiguous copy at a time: the chunk's memory peak
+                v, u = _sides(self.D[:j], st.p, st.coord)
+                zeta_u = _zeta_series(np.ascontiguousarray(u), cfg.beta)
+                V = np.ascontiguousarray(v)
+                V_pow = V ** -cfg.alpha
+                zeta = [_zeta_series(V, cfg.alpha, V_pow), zeta_u]
                 if st.coord:
-                    zeta.append(_zeta_hat_series(V, cfg.alpha))
+                    zeta.append(_zeta_hat_series(V, cfg.alpha, V_pow))
             else:
                 zeta = [np.zeros(j), np.zeros(j)]
             for s, part in zip(self.series[2:], zeta):
                 s.append(part)
         if r:
-            S = self.snaps[:r]
-            n, p, a = S.shape[1], st.p, st.a
-            X, Y = S[:, :, :p], S[:, :, p:a]
+            XY, M = _blocks(self.snaps[:r], len(st.XY), st.a, st.split)
+            n, p = XY.shape[1], st.p
+            X, Y = XY[..., :p], XY[..., p:]
             parts = [
                 np.add.reduce(X, axis=1) / n,
                 np.add.reduce(Y, axis=1) / n,
                 *consensus_error(X, Y),
             ]
-            for m in self._acc(S, a):
+            for m in _sides(M, p, st.coord):
                 parts.append(np.add.reduce(m.reshape(r, -1), axis=1) / m[0].size)
             for c, part in zip(self.columns, parts):
                 c.append(part)
@@ -486,10 +537,11 @@ def run(
     a non-finite iterate the run stops and the trace carries an AbortInfo
     naming the iteration, node and state field.
 
-    The loop keeps to the stepper and two buffer writes: a per-iteration
-    row (squared-gradient increments and applied denominators) and, at
-    records, a copy of the state block.  Series and record metrics are
-    reduced from those buffers a chunk at a time.
+    The loop keeps to the stepper and its buffer writes: per iteration the
+    squared-gradient increments H and the applied denominators D, each one
+    contiguous (n, q) row, and at records a copy of the flat state buffer.
+    Series and record metrics are reduced from those buffers a chunk at a
+    time.
     """
     W = np.asarray(W, dtype=float)
     if W.shape != (problem.n, problem.n):
@@ -501,7 +553,7 @@ def run(
     stepper = _Stepper(state, W, cfg)
     tally = _Tally(problem, cfg, stepper, trace_stride)
     Z, XY, K, chunk = state.Z, stepper.XY, cfg.K, tally.chunk
-    rows, snaps, ks = tally.rows, tally.snaps, tally.ks
+    H, D, snaps, ks = tally.H, tally.D, tally.snaps, tally.ks
     stream = GradientStream(seed)
     step = stepper.step
     snaps[0] = Z
@@ -516,7 +568,7 @@ def run(
             if j == chunk:
                 tally.flush(j, r)
                 j = r = 0
-            step(sample_grad_block(problem, XY, noise, stream, k), rows[j])
+            step(sample_grad_block(problem, XY, noise, stream, k), H[j], D[j])
             j += 1
             state.k = k + 1
             # Cheap pre-screen: the sum of squares is finite only when every

@@ -35,8 +35,12 @@ _NOISE_KINDS = ("none", "gaussian", "gaussian-clipped")
 
 def _parse_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; keys use underscores."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

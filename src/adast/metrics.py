@@ -83,34 +83,39 @@ def consensus_error(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dev_sq(X), dev_sq(Y)
 
 
-def zeta_series(v_store: np.ndarray, expo: float) -> np.ndarray:
+def zeta_series(v_store: np.ndarray, expo: float, v_pow: np.ndarray | None = None) -> np.ndarray:
     """Vectorized per-iteration inconsistency over a whole run.
 
     v_store is (K, n) for scalar accumulators or (K, n, p) coordinate-wise;
-    each slice follows the definitions in the module docstring.
+    each slice follows the definitions in the module docstring.  v_pow,
+    when given, is v_store ** -expo, made once by a caller that needs it
+    twice.
     """
     V = np.asarray(v_store, dtype=float)
     flat_axes = tuple(range(1, V.ndim))
     vbar_pow = V.mean(axis=flat_axes) ** (-expo)
-    dev = V ** (-expo) - vbar_pow.reshape((-1,) + (1,) * (V.ndim - 1))
+    dev = (V ** (-expo) if v_pow is None else v_pow) - vbar_pow.reshape((-1,) + (1,) * (V.ndim - 1))
+    dev *= dev
     if V.ndim == 2:
-        out = (dev * dev).max(axis=1) / (vbar_pow * vbar_pow)
+        out = dev.max(axis=1) / (vbar_pow * vbar_pow)
     else:
         K, n, p = V.shape
-        out = (dev * dev).sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)
+        out = dev.sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)
     equal = V.min(axis=flat_axes) == V.max(axis=flat_axes)
     out[equal] = 0.0
     return out
 
 
-def zeta_hat_series(v_store: np.ndarray, expo: float) -> np.ndarray:
+def zeta_hat_series(v_store: np.ndarray, expo: float,
+                    v_pow: np.ndarray | None = None) -> np.ndarray:
     """Within-node cross-coordinate inconsistency of the coordinate-wise
     variant over a whole run of (K, n, p) denominators: rows are compared
     against their own row means, normalized by the flattened mean.  This
-    term does not vanish under tracking."""
+    term does not vanish under tracking.  v_pow is as in ``zeta_series``."""
     V = np.asarray(v_store, dtype=float)
     K, n, p = V.shape
     vbar_pow = V.mean(axis=(1, 2)) ** (-expo)
     row_mean_pow = V.mean(axis=2, keepdims=True) ** (-expo)
-    dev = V ** (-expo) - row_mean_pow
-    return (dev * dev).sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)
+    dev = (V ** (-expo) if v_pow is None else v_pow) - row_mean_pow
+    dev *= dev
+    return dev.sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)

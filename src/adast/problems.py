@@ -286,7 +286,9 @@ class NoiseModel:
 
     @classmethod
     def clipped(cls, sigma: float, clip: float) -> "NoiseModel":
-        return cls(kind="gaussian-clipped", sigma=float(sigma), clip=float(clip))
+        # a missing bound is left to __post_init__, which names it
+        return cls(kind="gaussian-clipped", sigma=float(sigma),
+                   clip=None if clip is None else float(clip))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sigma": self.sigma, "clip": self.clip}

@@ -83,6 +83,18 @@ def test_mix_conserves_column_means_on_both_paths(n, cols, seed, scale):
         assert np.abs(mix(Wm, V).mean(axis=0) - mean).max() <= tol
 
 
+@pytest.mark.parametrize("n", [3, 64, 65, 400])
+@pytest.mark.parametrize("cols", [1, 2, 3, 8, 16])
+def test_column_sums_are_the_ufunc_reduction_bit_for_bit(n, cols):
+    # mix's mean; its form depends on the shape, its bits must not
+    from adast.algorithms import _column_sums
+
+    rng = np.random.default_rng(n * cols)
+    for _ in range(20):
+        V = rng.standard_normal((n, cols)) * 10.0 ** rng.uniform(-6, 6, (n, cols))
+        assert np.array_equal(_column_sums(V), np.add.reduce(V, axis=0))
+
+
 def _sparse_doubly_stochastic(n, seed, symmetric=False):
     """A convex mix of the identity and three random permutation matrices,
     so at most 4 nonzeros per row (7 once symmetrised)."""
@@ -95,7 +107,7 @@ def _sparse_doubly_stochastic(n, seed, symmetric=False):
 
 
 @pytest.mark.parametrize("n,symmetric", [(256, False), (512, True), (1000, False)])
-def test_gather_matches_dense_product_and_conserves_mass(n, symmetric):
+def test_csr_product_matches_dense_product_and_conserves_mass(n, symmetric):
     W = _sparse_doubly_stochastic(n, seed=n, symmetric=symmetric)
     G = csr_array(W)
     rng = np.random.default_rng(1)
@@ -109,7 +121,7 @@ def test_gather_matches_dense_product_and_conserves_mass(n, symmetric):
     assert np.allclose(V.mean(axis=0), mean, rtol=0, atol=1e-13)
 
 
-def test_large_ring_run_on_the_gather_matches_the_dense_run(monkeypatch):
+def test_large_ring_run_on_csr_matches_the_dense_run(monkeypatch):
     import adast.algorithms as alg
 
     prob = make_random_problem(n=400, p=2, d=2, seed=11)
@@ -309,11 +321,11 @@ def test_dadast_tracking_conservation_and_min_monotone():
 
     state = _initial_state(prob, cfg, 0.3, -0.2)
     stepper = _Stepper(state, W, cfg)
-    row = np.empty((4, stepper.width))
+    H, D = np.empty((4, stepper.q)), np.empty((4, stepper.q))
     stream = GradientStream(5)
     noise = NoiseModel.gaussian(0.1)
     for k in range(200):
-        stepper.step(sample_grad_block(prob, stepper.XY, noise, stream, k), row)
+        stepper.step(sample_grad_block(prob, stepper.XY, noise, stream, k), H, D)
         mins.append(state.Mx.min())
     assert all(b >= a - 1e-15 for a, b in zip(mins, mins[1:]))
 
@@ -547,9 +559,9 @@ def test_run_chunked_reduction_matches_one_chunk(monkeypatch, chunk_iters):
         with monkeypatch.context() as m:
             m.setattr(alg, "_CHUNK_DOUBLES", 1 << 40)
             ref = run(prob, W, cfg, noise, **kw)
-        cols = alg._initial_state(prob, cfg, None, None).Z.shape[1]
+        size = alg._initial_state(prob, cfg, None, None).Z.size
         with monkeypatch.context() as m:
-            m.setattr(alg, "_CHUNK_DOUBLES", chunk_iters * prob.n * cols)
+            m.setattr(alg, "_CHUNK_DOUBLES", chunk_iters * size)
             got = run(prob, W, cfg, noise, **kw)
         assert got.abort == ref.abort
         assert _records_equal(got, ref)
@@ -583,13 +595,30 @@ def test_run_finite_state_whose_sum_overflows_does_not_abort():
 
 
 def test_run_abort_names_the_node_and_field_of_the_nonfinite_entry():
-    # node 2's squared y-gradient overflows into its local accumulator My;
-    # the zero stepsize that follows keeps X and Y finite
+    # node 2's squared y-gradient overflows into its accumulator My; the
+    # zero stepsize that follows keeps X and Y finite.  Each state layout:
+    # d-tiada keeps [X | Y] and [Mx | My] as two blocks, d-adast local
+    # mixes the one block [X | Y | Mx | My], d-adast mixed mixes the two
+    # blocks in two rounds.  Local accumulators keep the inf at node 2; a
+    # mix spreads it, as NaN, to every node of the column, so the first
+    # node named is 0 there.
     p = _scalar_problem(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0, n=3)
-    cfg = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, K=5)
-    trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, y0=[[0.0], [0.0], [1e200]])
-    assert trace.abort == AbortInfo(k=1, node=2, field="My")
-    assert np.isfinite(trace.final_state.X).all() and np.isfinite(trace.final_state.Y).all()
+    for algo, source, node in [("d-tiada", "local", 2), ("d-adast", "local", 0),
+                               ("d-adast", "mixed", 0)]:
+        cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=5, stepsize_source=source)
+        trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, y0=[[0.0], [0.0], [1e200]])
+        assert trace.abort == AbortInfo(k=1, node=node, field="My"), algo
+        # the state at the abort: x-gradients are 0, node 2's y step is 0
+        # and one round averages Y
+        state = trace.final_state
+        assert state.k == 1
+        assert np.array_equal(state.X, np.zeros((3, 1)))
+        assert state.Y == pytest.approx(np.full((3, 1), 1e200 / 3), rel=1e-15)
+        assert state.Mx == pytest.approx(np.full(3, cfg.c0), rel=1e-15)
+        if node == 2:
+            assert np.array_equal(state.My, [cfg.c0, cfg.c0, np.inf])
+        else:
+            assert np.isnan(state.My).all()
 
 
 def test_run_rejects_mismatched_weights():

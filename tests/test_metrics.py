@@ -77,6 +77,22 @@ def test_zeta_hat_hand_example():
     assert _zeta_hat(V3, a) == 0.0
 
 
+def test_zeta_series_with_the_power_given_equal_the_plain_calls():
+    # the run loop makes v ** -alpha once and hands it to both series
+    rng = np.random.default_rng(4)
+    for shape in [(30, 5), (30, 4, 3)]:
+        V = rng.uniform(0.1, 10.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+        V[::7] = V[::7].flat[0]  # rows of equal values, zeta 0 by definition
+        for expo in (0.6, 0.35):
+            v_pow = V ** -expo
+            got = zeta_series(V, expo, v_pow)
+            assert np.array_equal(got, zeta_series(V, expo))
+            assert np.all(got[::7] == 0.0)
+            if V.ndim == 3:
+                assert np.array_equal(zeta_hat_series(V, expo, v_pow), zeta_hat_series(V, expo))
+            assert np.array_equal(v_pow, V ** -expo)  # the power is left as it was
+
+
 def test_consensus_error_examples():
     X = np.array([[[1.0], [1.0], [1.0]]])
     cx, cy = consensus_error(X, X)
