@@ -38,7 +38,7 @@ keeps the tracking-average identity tight over 1e5 iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,6 +65,7 @@ __all__ = [
 ALGORITHMS = ("d-sgda", "d-tiada", "d-adast", "d-adast-coord")
 ADAPTIVE_ALGORITHMS = ("d-tiada", "d-adast", "d-adast-coord")
 TRACKING_ALGORITHMS = ("d-adast", "d-adast-coord")
+_FIELDS = ("X", "Y", "Mx", "My")  # the state fields, in the order an abort screens them
 
 # Per-iteration rows and record snapshots are reduced in chunks of about
 # this many doubles, so a run's buffers do not grow with K.  Run times are
@@ -109,17 +110,8 @@ class AlgoConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "gamma_x": self.gamma_x,
-            "gamma_y": self.gamma_y,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "c0": self.c0,
-            "projection": self.projection.to_dict(),
-            "K": self.K,
-            "stepsize_source": self.stepsize_source,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "projection": self.projection.to_dict()}
 
 
 def _blocks(Z: np.ndarray, n: int, a: int, split: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +317,8 @@ class _Stepper:
         XY, M = state.XY, state.M
         n, a = XY.shape
         p = state.p
-        self.Z, self.p, self.a, self.q = state.Z, p, a, M.shape[1]
+        # at most 29 attributes: a 30th moves them all to a dict, slowing each self.x
+        self.Z, self.p, self.q = state.Z, p, M.shape[1]
         # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
         # dense / CSR, 2-core box, 2 columns: ring (k = 3) n = 128 18 / 21,
@@ -355,6 +348,8 @@ class _Stepper:
         B = np.empty_like(self.Z)  # the pre-mix buffer
         self.XY, self.M, self.Y = XY, M, XY[:, p:]
         self.B_XY, self.B_M = _blocks(B, n, a, self.split)
+        # B as a state: where a non-finite value is first seen before a round spreads it
+        self.B = RunState(Z=B, XY=self.B_XY, M=self.B_M, p=p, coord=self.coord)
         # accumulators ride along in the iterate round for pre-mix tracking
         self.mix_in, self.mix_out = (
             (self.B_XY, XY) if self.split else (B.reshape(n, -1), self.Z.reshape(n, -1)))
@@ -418,10 +413,10 @@ class _Stepper:
             np.maximum(mx, my, out=D[:, :p])
 
 
-def _find_nonfinite(state: RunState) -> tuple[int, str]:
-    """The field, in the order X, Y, Mx, My, and its first node holding a
-    non-finite entry; the state must hold one."""
-    for name in ("X", "Y", "Mx", "My"):
+def _find_nonfinite(state: RunState, names=_FIELDS) -> tuple[int, str] | None:
+    """The first of the fields ``names`` of ``state`` holding a non-finite
+    entry, and its first such node; None when there is none."""
+    for name in names:
         bad = ~np.isfinite(getattr(state, name))
         if bad.any():
             return int(np.argwhere(bad)[0][0]), name
@@ -476,7 +471,7 @@ class _Tally:
             for s, part in zip(self.series[2:], zeta):
                 s.append(part)
         if r:
-            XY, M = _blocks(self.snaps[:r], len(st.XY), st.a, st.split)
+            XY, M = _blocks(self.snaps[:r], *st.XY.shape, st.split)
             n, p = XY.shape[1], st.p
             X, Y = XY[..., :p], XY[..., p:]
             parts = [
@@ -574,7 +569,12 @@ def run(
             # Cheap pre-screen: the sum of squares is finite only when every
             # entry is, so the entrywise screen runs only near divergence.
             if not math.isfinite(np.vdot(Z, Z)) and not np.isfinite(Z).all():
-                node, field_name = _find_nonfinite(state)
+                # a mix spreads one node's inf, as NaN, to every node, so the
+                # pre-mix blocks name the node before the state does; B's
+                # accumulators are written and mixed only by the tracking methods
+                mixed = _FIELDS if cfg.algo in TRACKING_ALGORITHMS else _FIELDS[:2]
+                node, field_name = (_find_nonfinite(stepper.B, mixed)
+                                    or _find_nonfinite(state))
                 abort = AbortInfo(k=k + 1, node=node, field=field_name)
                 break
             if (k + 1) % trace_stride == 0:

@@ -118,11 +118,8 @@ class QuadraticMinimaxProblem:
         self.A_stack, self.B_stack, self.C_stack = A, B, C  # (n, p, d), (n, d, d), (n, p, p)
         self.b_stack, self.c_stack = b, c  # (n, p), (n, d)
 
-        self.A_bar = self.A_stack.mean(axis=0)
-        self.B_bar = self.B_stack.mean(axis=0)
-        self.C_bar = self.C_stack.mean(axis=0)
-        self.b_bar = self.b_stack.mean(axis=0)
-        self.c_bar = self.c_stack.mean(axis=0)
+        self.A_bar, self.B_bar, self.C_bar, self.b_bar, self.c_bar = (
+            M.mean(axis=0) for M in (A, B, C, b, c))
 
         # Fused per-node gradient map: (grad_x, grad_y) = M_i (x, y) + r_i.
         self._M_stack = np.zeros((n, p + d, p + d))
@@ -490,13 +487,19 @@ def make_counterexample(alpha: float, beta: float) -> tuple[QuadraticMinimaxProb
 
     Returns the problem and the slope s of the initialization line: runs
     started at (x0, s*x0) with exact gradients leave D-TiAda frozen.
-    Requires 0 < beta < 0.5 < alpha < 1 strictly; the construction's
-    exponents blow up at 0.5.
+    Requires 0 < beta < 0.5 < alpha < 1 strictly, and neither within 5e-4
+    of 0.5: the constants a = 2^(-1/(2 alpha - 1)) and b = 2^(-1/(2 beta -
+    1)) blow up at 0.5, and past 2^(+-1000) one of them or its reciprocal
+    leaves the double range.
     """
     if not (0.0 < beta < 0.5 < alpha < 1.0):
         raise ConfigError(
             f"counterexample needs 0 < beta < 0.5 < alpha < 1, got alpha={alpha}, beta={beta}"
         )
+    for name, expo in (("alpha", alpha), ("beta", beta)):
+        if abs(2.0 * expo - 1.0) <= 1e-3:
+            raise ConfigError(f"counterexample needs |2*{name} - 1| > 1e-3, got {name}={expo}: "
+                              f"its constant 2^(-1/(2*{name} - 1)) leaves the double range")
     a = 2.0 ** (-1.0 / (2.0 * alpha - 1.0))
     b = 2.0 ** (-1.0 / (2.0 * beta - 1.0))
     coupling = -(1.0 + 1.0 / a + 1.0 / b)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from adast.algorithms import (
+    ALGORITHMS,
     AbortInfo,
     AlgoConfig,
     mix,
@@ -142,6 +144,21 @@ def test_large_ring_run_on_csr_matches_the_dense_run(monkeypatch):
     mx, my = got.avg_m_x[1:], got.avg_m_y[1:]
     assert np.all(np.abs(mx - cfg.c0 - got.gsum_x_series[later]) <= 1e-12 * mx)
     assert np.all(np.abs(my - cfg.c0 - got.gsum_y_series[later]) <= 1e-12 * my)
+
+
+@pytest.mark.parametrize("source", ["local", "mixed"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_stepper_keeps_at_most_29_attributes(algo, source):
+    # step() reads about 20 stepper attributes per iteration.  CPython 3.11
+    # keeps at most 29 instance attributes inline; a 30th moves them all to
+    # a dict, and the n = 50 synthetic runs then took about 10 % longer.
+    import adast.algorithms as alg
+
+    prob = make_random_problem(n=5, p=2, d=2, seed=1)
+    W = weights_for(GraphSpec(n=5, kind=GraphKind.RING)).W
+    cfg = AlgoConfig(algo=algo, gamma_x=0.05, gamma_y=0.1, K=1, stepsize_source=source)
+    state = alg._initial_state(prob, cfg, None, None)
+    assert len(vars(alg._Stepper(state, W, cfg))) <= 29
 
 
 def test_noisy_run_does_not_depend_on_the_noise_chunk(monkeypatch):
@@ -600,14 +617,13 @@ def test_run_abort_names_the_node_and_field_of_the_nonfinite_entry():
     # d-tiada keeps [X | Y] and [Mx | My] as two blocks, d-adast local
     # mixes the one block [X | Y | Mx | My], d-adast mixed mixes the two
     # blocks in two rounds.  Local accumulators keep the inf at node 2; a
-    # mix spreads it, as NaN, to every node of the column, so the first
-    # node named is 0 there.
+    # mix spreads it, as NaN, to every node of the column, and the abort
+    # still names node 2, where the pre-mix buffer held the inf.
     p = _scalar_problem(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0, n=3)
-    for algo, source, node in [("d-tiada", "local", 2), ("d-adast", "local", 0),
-                               ("d-adast", "mixed", 0)]:
+    for algo, source in [("d-tiada", "local"), ("d-adast", "local"), ("d-adast", "mixed")]:
         cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=5, stepsize_source=source)
         trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, y0=[[0.0], [0.0], [1e200]])
-        assert trace.abort == AbortInfo(k=1, node=node, field="My"), algo
+        assert trace.abort == AbortInfo(k=1, node=2, field="My"), algo
         # the state at the abort: x-gradients are 0, node 2's y step is 0
         # and one round averages Y
         state = trace.final_state
@@ -615,10 +631,33 @@ def test_run_abort_names_the_node_and_field_of_the_nonfinite_entry():
         assert np.array_equal(state.X, np.zeros((3, 1)))
         assert state.Y == pytest.approx(np.full((3, 1), 1e200 / 3), rel=1e-15)
         assert state.Mx == pytest.approx(np.full(3, cfg.c0), rel=1e-15)
-        if node == 2:
+        if algo == "d-tiada":
             assert np.array_equal(state.My, [cfg.c0, cfg.c0, np.inf])
         else:
             assert np.isnan(state.My).all()
+
+
+def test_run_abort_names_the_node_whose_iterate_overflowed_before_the_mix():
+    # node 2's x-gradient -C x overflows, so its pre-mix x is non-finite
+    # while nodes 0 and 1 stay at 0; the round then spreads NaN to every
+    # node, for every method and ordering, and the abort names node 2
+    p = _scalar_problem(B=1.0, A=0.0, C=1e10, b=0.0, c=0.0, n=3)
+    for algo, source in itertools.product(ALGORITHMS, ("local", "mixed")):
+        cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=5, stepsize_source=source)
+        trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, x0=[[0.0], [0.0], [1e300]])
+        assert trace.abort == AbortInfo(k=1, node=2, field="X"), (algo, source)
+        assert np.isnan(trace.final_state.X).all()
+
+
+def test_run_abort_past_the_mix_names_the_state_entry():
+    # every pre-mix entry is finite and the round itself overflows: the
+    # mean-centred mix sums 1e308 twice, so the screen falls back to the
+    # state, where node 0 is the first non-finite entry of X
+    p = _scalar_problem(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0, n=2)
+    for algo in ("d-sgda", "d-adast-coord"):
+        cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=3)
+        trace = run(p, np.full((2, 2), 0.5), cfg, x0=1e308, y0=0.0)
+        assert trace.abort == AbortInfo(k=1, node=0, field="X"), algo
 
 
 def test_run_rejects_mismatched_weights():

@@ -50,7 +50,7 @@ SWEEP_FLAGS = {
     **RUN_FLAGS,
     "--gamma-x-grid": GRIDS,
     "--gamma-y-grid": GRIDS,
-    "--alpha-grid": ["0.6,0.7", "0.3", "", "nan", "0.2,1.5"],
+    "--alpha-grid": ["0.6,0.7", "0.3", "", "nan", "0.2,1.5", "0.75,0.45", "0.5000001"],
     "--beta-grid": ["0.4,0.3", "0.5", "", "-inf", "0.9"],
     "--threshold": FLOATS,
 }
@@ -103,6 +103,14 @@ def _exit_code(argv: list[str]) -> int:
 # clipped noise without its bound
 @example(vector=("run", {"--config": "{missing}"}, "5"))
 @example(vector=("sweep", {"--noise": "gaussian-clipped"}, "0"))
+# exponents so close to 0.5 that the counterexample's constants under- or
+# overflow (a ZeroDivisionError and an OverflowError before they were
+# refused), and a sweep whose second cell's problem is refused
+@example(vector=("counterexample", {"--alpha": "0.5000001", "--beta": "0.25"}, "5"))
+@example(vector=("run", {"--experiment": "counterexample", "--alpha": "0.9",
+                         "--beta": "0.4999999"}, "5"))
+@example(vector=("sweep", {"--experiment": "counterexample", "--algos": "d-tiada",
+                           "--alpha-grid": "0.75,0.45"}, "5"))
 def test_cli_exits_0_2_or_3_and_exit_2_writes_nothing(vector):
     command, flags, K = vector
     with tempfile.TemporaryDirectory() as tmp:

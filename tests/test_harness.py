@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,51 @@ def test_counterexample_invariants_enforced():
     )
     assert (result.manifest["problem"]["meta"]["alpha"],
             result.manifest["problem"]["meta"]["beta"]) == (0.75, 0.25)
+
+
+# case -> (RunConfig fields over one d-tiada config at (0.75, 0.25), a
+# fragment of the refusal): the checks that need no problem instance
+_REFUSED_WITHOUT_A_PROBLEM = {
+    "synthetic-without-n": ({"experiment": "synthetic"}, "needs --n"),
+    "custom-without-problem-json": (
+        {"experiment": "custom", "topology": GraphSpec(n=3, kind=GraphKind.RING)},
+        "needs --problem-json"),
+    "custom-without-topology": ({"experiment": "custom", "problem_json": Path("p.json")},
+                                "explicit topology"),
+    "counterexample-two-exponent-pairs": (
+        {"experiment": "counterexample", "algo_configs": [
+            AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, alpha=0.75, beta=0.25, K=5),
+            AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, alpha=0.6, beta=0.4, K=5)]},
+        "one exponent pair"),
+    "counterexample-init-y": ({"experiment": "counterexample", "init_y": 1.0}, "do not apply"),
+    "counterexample-init-spread": ({"experiment": "counterexample", "init_spread": 0.1},
+                                   "do not apply"),
+    "counterexample-x0-zero": ({"experiment": "counterexample", "init_x": 0.0}, "x0 != 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_WITHOUT_A_PROBLEM))
+def test_run_config_refuses_without_building_a_problem(monkeypatch, case):
+    fields, fragment = _REFUSED_WITHOUT_A_PROBLEM[case]
+    monkeypatch.setattr(harness, "_build_problem", lambda *a: pytest.fail("a problem was built"))
+    ac = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, alpha=0.75, beta=0.25, K=5)
+    with pytest.raises(ConfigError, match=fragment):
+        RunConfig(**{"algo_configs": [ac], **fields})
+
+
+@pytest.mark.parametrize("alpha_grid", ["0.75,0.45", "0.75,0.5000001"])
+def test_cli_sweep_with_a_refused_problem_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                         alpha_grid):
+    # the second cell passes RunConfig, but the counterexample factory
+    # refuses its exponents; every problem is built before any cell runs
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a method ran"))
+    out = tmp_path / "out"
+    rc = cli_main(["sweep", "--experiment", "counterexample", "--algos", "d-tiada",
+                   "--alpha-grid", alpha_grid, "--K", "10", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "alpha" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_counterexample_report_shape():

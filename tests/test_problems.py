@@ -91,6 +91,21 @@ def test_counterexample_rejects_bad_exponents(alpha, beta):
         make_counterexample(alpha, beta)
 
 
+@pytest.mark.parametrize("alpha,beta,name", [(0.5000001, 0.25, "alpha"), (0.5004, 0.25, "alpha"),
+                                             (0.9, 0.4999999, "beta"), (0.75, 0.4996, "beta")])
+def test_counterexample_refuses_exponents_whose_constants_leave_the_doubles(alpha, beta, name):
+    # 2^(-1/(2*alpha - 1)) underflows to 0 and 2^(-1/(2*beta - 1)) overflows
+    # for exponents this close to 0.5
+    with pytest.raises(ConfigError, match=f"got {name}="):
+        make_counterexample(alpha, beta)
+
+
+def test_counterexample_constants_next_to_the_refused_band_are_finite():
+    prob, slope = make_counterexample(0.5006, 0.4994)
+    assert 0.0 < prob.meta["a"] < 1e-250 and 1e250 < prob.meta["b"] < math.inf
+    assert np.isfinite(prob.A_stack).all() and math.isfinite(slope)
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_synthetic_forced_pair_closed_forms():
