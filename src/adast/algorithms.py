@@ -279,6 +279,8 @@ def _initial_state(
         if v is None:
             return np.zeros((n, dim))
         arr = np.asarray(v, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{name} must be finite")
         if arr.ndim == 0:
             return np.full((n, dim), float(arr))
         if arr.shape == (dim,):
@@ -313,11 +315,14 @@ class _Stepper:
     the state's layout, so each round mixes one contiguous block.
     """
 
+    __slots__ = ("Z", "p", "q", "W", "coord", "adaptive", "pre_mix", "post_mix", "split", "S",
+                 "projection", "row_norms", "sides", "alpha", "coef", "neg_expo", "psi", "sq",
+                 "XY", "M", "Y", "B_XY", "B_M", "B", "mix_in", "mix_out", "M_read", "mx", "my")
+
     def __init__(self, state: RunState, W: np.ndarray, cfg: AlgoConfig):
         XY, M = state.XY, state.M
         n, a = XY.shape
         p = state.p
-        # at most 29 attributes: a 30th moves them all to a dict, slowing each self.x
         self.Z, self.p, self.q = state.Z, p, M.shape[1]
         # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,

@@ -26,7 +26,8 @@ import numpy as np
 
 from .algorithms import AlgoConfig
 from .errors import ConfigError
-from .harness import EXPERIMENTS, RunConfig, counterexample_report, problem_for, run_experiment
+from .harness import (EXPERIMENTS, RunConfig, counterexample_report, problem_for, run_experiment,
+                      start_for)
 from .problems import NoiseModel
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
@@ -228,15 +229,15 @@ def cmd_sweep(argv: list[str]) -> int:
             "iters_to_threshold,aborted"]
     any_abort = False
     base_out = Path(args.out_dir) if args.out_dir else Path("runs/sweep")
-    # every cell's config is checked, and each distinct problem built once,
-    # before any cell runs or writes; the cells' results are not kept
+    # every cell's config and start are checked, and each distinct problem
+    # built once, before any cell runs or writes; the cells' results are not kept
     cells, problems = [], {}
     for gx, gy, al, be in product(gx_grid, gy_grid, al_grid, be_grid):
         args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
         args.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
         cells.append(((gx, gy, al, be), _run_config_from_args(args)))
     for _, cfg in cells:
-        problem_for(cfg, problems)
+        start_for(cfg, problem_for(cfg, problems))
     for (gx, gy, al, be), cfg in cells:
         for label, trace in run_experiment(cfg, problems).traces.items():
             any_abort = any_abort or trace.aborted

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -41,7 +42,80 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-EXPERIMENTS = ("case-study", "counterexample", "synthetic", "custom")
+
+def _counterexample_pair(cfg: RunConfig) -> tuple:
+    # the instance is built for the adaptive methods' exponents (d-sgda has
+    # none), so one run can hold only one pair; d-sgda alone gives its own
+    pairs = sorted({(ac.alpha, ac.beta) for ac in cfg.algo_configs if ac.algo != "d-sgda"})
+    if len(pairs) > 1:
+        raise ConfigError("counterexample methods need one exponent pair (alpha, beta), "
+                          f"got {pairs}")
+    return pairs[0] if pairs else (cfg.algo_configs[0].alpha, cfg.algo_configs[0].beta)
+
+
+def _check_counterexample(cfg: RunConfig) -> None:
+    _counterexample_pair(cfg)
+    if cfg.init_y is not None or cfg.init_spread is not None:
+        raise ConfigError("the counterexample starts on its invariance line at init_x; "
+                          "init_y and init_spread do not apply")
+    if cfg.start()[0] == 0.0:
+        raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
+
+
+def _read_problem(path: Path) -> QuadraticMinimaxProblem:
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read problem JSON {path}: {exc}") from exc
+    return QuadraticMinimaxProblem.from_dict(doc)
+
+
+def _as_given(cfg, problem, bx, by, spread) -> tuple:
+    return bx, by, f"x_i = {bx} + {spread}*i, y_i = {by} + {spread}*i"
+
+
+def _on_invariance_line(cfg, problem, bx, by, spread) -> tuple:
+    by = problem.meta["init_slope"] * bx
+    return bx, by, f"all nodes at (x0, slope*x0) = ({bx}, {by})"
+
+
+def _at_stationary_point(cfg, problem, bx, by, spread) -> tuple:
+    if cfg.init_x is not None or cfg.init_y is not None:
+        return _as_given(cfg, problem, bx, by, spread)
+    stat = problem.stationary_point()
+    if stat is None:
+        note = "origin (averaged objective has no unique stationary point)"
+    else:
+        bx, by = stat
+        note = f"all nodes at the stationary point ({bx[0]:.6g}, {by[0]:.6g})"
+    return bx, by, note + (f", plus {spread}*i" if spread else "")
+
+
+_Experiment = namedtuple("_Experiment", "graph start key build needs check anchor",
+                         defaults=((), None, _as_given))
+
+# experiment -> its one definition: default graph (None: the config gives
+# one); default (init_x, init_y, init_spread); what its instance depends on
+# (config -> arguments); factory (arguments -> instance, reaching the
+# module's names at each call); the config fields it needs, as (field, what
+# to give); a check that needs no instance; and its anchor, (config, problem,
+# init_x, init_y, init_spread) -> (init_x, init_y, start note), after which
+# node i starts at init + init_spread*i.  The counterexample's iterates stay
+# frozen only on its default graph with exact gradients.
+_TABLE = {
+    "case-study": _Experiment(GraphKind.RING, (1.0, 1.0, 0.01), lambda cfg: (),
+                              lambda: make_two_node_case_study()),
+    "counterexample": _Experiment(GraphKind.COMPLETE, (10.0, None, 0.0), _counterexample_pair,
+                                  lambda alpha, beta: make_counterexample(alpha, beta)[0],
+                                  check=_check_counterexample, anchor=_on_invariance_line),
+    "synthetic": _Experiment(GraphKind.EXPONENTIAL, (0.0, 0.0, 0.0), lambda cfg: (cfg.n, cfg.seed),
+                             lambda n, seed: make_synthetic(n, seed),
+                             needs=(("n", "--n (node count)"),), anchor=_at_stationary_point),
+    "custom": _Experiment(None, (0.0, 0.0, 0.0), lambda cfg: (Path(cfg.problem_json),),
+                          _read_problem, needs=(("problem_json", "--problem-json"),
+                                                ("topology", "an explicit topology"))),
+}
+EXPERIMENTS = tuple(_TABLE)
 
 
 @dataclass
@@ -56,7 +130,7 @@ class RunConfig:
     trace_stride: int = 100
     out_dir: Path | None = None
     # start x_i = init_x + init_spread*i (y likewise); None takes the
-    # experiment's default, see _DEFAULTS
+    # experiment's default, see _TABLE
     init_x: float | None = None
     init_y: float | None = None
     init_spread: float | None = None
@@ -67,7 +141,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Every check that needs no problem instance.  Past it a run fails
-        only on a problem factory's refusal or a node-count mismatch."""
+        only on a problem factory's refusal or in ``start_for``."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
@@ -79,31 +153,17 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         require_finite(init_x=self.init_x, init_y=self.init_y, init_spread=self.init_spread)
-        if self.experiment == "synthetic" and self.n is None:
-            raise ConfigError("synthetic experiment needs --n (node count)")
-        if self.experiment == "custom" and self.problem_json is None:
-            raise ConfigError("custom experiment needs --problem-json")
-        if self.experiment == "custom" and self.topology is None:
-            raise ConfigError("custom experiment needs an explicit topology")
-        if self.experiment != "counterexample":
-            return
-        # the instance is built for the adaptive methods' exponents (d-sgda
-        # has none), so one run can hold only one pair
-        exponents = sorted({(ac.alpha, ac.beta) for ac in self.algo_configs
-                            if ac.algo != "d-sgda"})
-        if len(exponents) > 1:
-            raise ConfigError("counterexample methods need one exponent pair (alpha, beta), "
-                              f"got {exponents}")
-        if self.init_y is not None or self.init_spread is not None:
-            raise ConfigError("the counterexample starts on its invariance line at init_x; "
-                              "init_y and init_spread do not apply")
-        if self.start()[0] == 0.0:
-            raise ConfigError("counterexample needs x0 != 0 (the origin is stationary)")
+        kind = _TABLE[self.experiment]
+        for name, what in kind.needs:
+            if getattr(self, name) is None:
+                raise ConfigError(f"{self.experiment} experiment needs {what}")
+        if kind.check is not None:
+            kind.check(self)
 
     def start(self) -> tuple:
         """(init_x, init_y, init_spread), each as given or the experiment's default."""
         given = (self.init_x, self.init_y, self.init_spread)
-        return tuple(d if v is None else v for v, d in zip(given, _DEFAULTS[self.experiment][1]))
+        return tuple(d if v is None else v for v, d in zip(given, _TABLE[self.experiment].start))
 
 
 @dataclass
@@ -118,100 +178,39 @@ class ExperimentResult:
         return any(t.aborted for t in self.traces.values())
 
 
-# experiment -> (default graph kind, default (init_x, init_y, init_spread)).
-# The synthetic default start is its stationary point unless init_x or
-# init_y is given; the counterexample starts on its invariance line at
-# init_x.  Its iterates stay frozen only on the complete graph with exact
-# gradients, its defaults.
-_DEFAULTS = {
-    "case-study": (GraphKind.RING, (1.0, 1.0, 0.01)),
-    "counterexample": (GraphKind.COMPLETE, (10.0, None, None)),
-    "synthetic": (GraphKind.EXPONENTIAL, (0.0, 0.0, 0.0)),
-    "custom": (None, (0.0, 0.0, 0.0)),
-}
-
-
-def _problem_key(cfg: RunConfig) -> tuple:
-    """What the problem instance of ``cfg`` depends on: the experiment and
-    its factory's arguments, which are the exponent pair (counterexample),
-    ``n`` and ``seed`` (synthetic), the problem file (custom) or nothing
-    (case study).  Configs with equal keys get equal instances."""
-    if cfg.experiment == "counterexample":
-        # the adaptive methods' one pair, or d-sgda's own when it runs alone
-        ac = next((ac for ac in cfg.algo_configs if ac.algo != "d-sgda"), cfg.algo_configs[0])
-        return cfg.experiment, ac.alpha, ac.beta
-    if cfg.experiment == "synthetic":
-        return cfg.experiment, cfg.n, cfg.seed
-    if cfg.experiment == "custom":
-        return cfg.experiment, Path(cfg.problem_json)
-    return (cfg.experiment,)
-
-
-def _build_problem(experiment: str, *args) -> QuadraticMinimaxProblem:
-    """The instance of a ``_problem_key``."""
-    if experiment == "counterexample":
-        return make_counterexample(*args)[0]
-    if experiment == "synthetic":
-        return make_synthetic(*args)
-    if experiment == "custom":
-        path, = args
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read problem JSON {path}: {exc}") from exc
-        return QuadraticMinimaxProblem.from_dict(doc)
-    return make_two_node_case_study()
-
-
 def problem_for(cfg: RunConfig, problems: dict) -> QuadraticMinimaxProblem:
-    """The problem of ``cfg``: taken from ``problems``, which maps a
-    ``_problem_key`` to its instance, when its key is there, and built
-    into it when not."""
-    key = _problem_key(cfg)
+    """The problem of ``cfg``: taken from ``problems``, which maps the
+    experiment and the arguments its instance depends on (see ``_TABLE``)
+    to the instance, when its key is there, and built into it when not."""
+    kind = _TABLE[cfg.experiment]
+    key = (cfg.experiment, *kind.key(cfg))
     if key not in problems:
-        problems[key] = _build_problem(*key)
+        problems[key] = kind.build(*key[1:])
     return problems[key]
 
 
-def _prepare(cfg: RunConfig, problems: dict | None = None):
-    """The problem, weights, topology, start (X0, Y0) and its manifest note
-    of a config that ``RunConfig`` accepted.
-
-    Every experiment takes its topology, node count, noise and start from
-    ``cfg`` by one rule; only the problem and the defaults differ.  The
-    problem comes from ``problem_for``; the weights are built every time.
-    What is left to refuse is a node count that disagrees with the
-    problem's."""
-    bx, by, spread = cfg.start()
-    problem = problem_for(cfg, {} if problems is None else problems)
-    X0 = note = None
-    if cfg.experiment == "counterexample":
-        slope = problem.meta["init_slope"]
-        X0, Y0 = np.full((3, 1), float(bx)), np.full((3, 1), slope * float(bx))
-        note = f"all nodes at (x0, slope*x0) = ({bx}, {slope * bx})"
-    elif cfg.experiment == "synthetic" and cfg.init_x is None and cfg.init_y is None:
-        stat = problem.stationary_point()
-        if stat is None:
-            note = "origin (averaged objective has no unique stationary point)"
-        else:
-            bx, by = stat
-            note = f"all nodes at the stationary point ({bx[0]:.6g}, {by[0]:.6g})"
-        if spread:
-            note += f", plus {spread}*i"
-
+def start_for(cfg: RunConfig, problem: QuadraticMinimaxProblem) -> tuple:
+    """The graph, start (X0, Y0) and start note of ``cfg`` on ``problem``,
+    by the experiment's anchor (see ``_TABLE``) from ``cfg.start()``.
+    Refuses a node count that disagrees with the problem's and a start
+    with a non-finite entry."""
     n = problem.n
     if cfg.n is not None and cfg.n != n:
         raise ConfigError(f"--n {cfg.n} does not match the {cfg.experiment} problem's n={n}")
-    topo = cfg.topology or GraphSpec(n=n, kind=_DEFAULTS[cfg.experiment][0])
+    kind = _TABLE[cfg.experiment]
+    topo = cfg.topology or GraphSpec(n=n, kind=kind.graph)
     if topo.n != n:
         raise ConfigError(f"topology n={topo.n} does not match problem n={n}")
-    if X0 is None:
+    bx, by, spread = cfg.start()
+    bx, by, note = kind.anchor(cfg, problem, bx, by, spread)
+    with np.errstate(over="ignore", invalid="ignore"):
         offset = spread * np.arange(n)[:, None]
         X0 = np.full((n, problem.p), bx) + offset
         Y0 = np.full((n, problem.d), by) + offset
-    if note is None:
-        note = f"x_i = {bx} + {spread}*i, y_i = {by} + {spread}*i"
-    return problem, weights_for(topo), topo, X0, Y0, note
+    finite = np.isfinite(X0).all(axis=1) & np.isfinite(Y0).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"the start is not finite at node {np.argmin(finite)} ({note})")
+    return topo, X0, Y0, note
 
 
 def write_trace(trace: Trace, path: Path | str) -> None:
@@ -264,10 +263,12 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
     unless ``cfg.out_dir`` is None.
 
     ``problems``, a dict the caller keeps over a series of experiments,
-    lets the series build each distinct problem once (see ``_problem_key``
-    for what an instance depends on).  Weights, start and manifest are
+    lets the series build each distinct problem once (see ``_TABLE`` for
+    what an instance depends on).  Weights, start and manifest are
     made anew, so the outputs equal those of a run without it."""
-    problem, wm, topo, X0, Y0, note = _prepare(cfg, problems)
+    problem = problem_for(cfg, {} if problems is None else problems)
+    topo, X0, Y0, note = start_for(cfg, problem)
+    wm = weights_for(topo)
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     if out_dir is not None:
         try:

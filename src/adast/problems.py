@@ -144,11 +144,15 @@ class QuadraticMinimaxProblem:
 
         # Affine closed forms (Bbar is PD, so the inverse is benign):
         #   y*(x) = _y_lin x + _y_const,  grad_phi(x) = _phi_lin x + _phi_const
-        B_inv = np.linalg.inv(self.B_bar)
-        self._y_lin = B_inv @ self.A_bar.T
-        self._y_const = B_inv @ self.c_bar
-        self._phi_lin = self.A_bar @ self._y_lin - self.C_bar
-        self._phi_const = self.A_bar @ self._y_const + self.b_bar
+        with np.errstate(over="ignore", invalid="ignore"):
+            B_inv = np.linalg.inv(self.B_bar)
+            self._y_lin = B_inv @ self.A_bar.T
+            self._y_const = B_inv @ self.c_bar
+            self._phi_lin = self.A_bar @ self._y_lin - self.C_bar
+            self._phi_const = self.A_bar @ self._y_const + self.b_bar
+        closed = (self._y_lin, self._y_const, self._phi_lin, self._phi_const)
+        if not all(np.isfinite(F).all() for F in closed):
+            raise ConfigError("the closed forms of y*(x) and grad Phi(x) overflow the doubles")
 
         # Modulus of strong concavity: the smallest eigenvalue over all
         # local B blocks (lambda_min is concave, so this also bounds Bbar).
@@ -490,7 +494,8 @@ def make_counterexample(alpha: float, beta: float) -> tuple[QuadraticMinimaxProb
     Requires 0 < beta < 0.5 < alpha < 1 strictly, and neither within 5e-4
     of 0.5: the constants a = 2^(-1/(2 alpha - 1)) and b = 2^(-1/(2 beta -
     1)) blow up at 0.5, and past 2^(+-1000) one of them or its reciprocal
-    leaves the double range.
+    leaves the double range.  The problem also refuses alpha with 2 alpha -
+    1 below about 0.00196, where its closed form of grad Phi overflows.
     """
     if not (0.0 < beta < 0.5 < alpha < 1.0):
         raise ConfigError(

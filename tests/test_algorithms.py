@@ -149,16 +149,18 @@ def test_large_ring_run_on_csr_matches_the_dense_run(monkeypatch):
 @pytest.mark.parametrize("source", ["local", "mixed"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_stepper_keeps_at_most_29_attributes(algo, source):
-    # step() reads about 20 stepper attributes per iteration.  CPython 3.11
-    # keeps at most 29 instance attributes inline; a 30th moves them all to
-    # a dict, and the n = 50 synthetic runs then took about 10 % longer.
+    # step() reads about 20 stepper attributes per iteration.  Without
+    # __slots__, CPython 3.11 keeps at most 29 instance attributes inline, and
+    # a 30th moved them all to a dict (the n = 50 synthetic runs then took
+    # about 10 % longer).  With __slots__ no stepper has a dict, so that
+    # ceiling is gone: this checks the slots, whatever their number.
     import adast.algorithms as alg
 
     prob = make_random_problem(n=5, p=2, d=2, seed=1)
     W = weights_for(GraphSpec(n=5, kind=GraphKind.RING)).W
     cfg = AlgoConfig(algo=algo, gamma_x=0.05, gamma_y=0.1, K=1, stepsize_source=source)
     state = alg._initial_state(prob, cfg, None, None)
-    assert len(vars(alg._Stepper(state, W, cfg))) <= 29
+    assert not hasattr(alg._Stepper(state, W, cfg), "__dict__")
 
 
 def test_noisy_run_does_not_depend_on_the_noise_chunk(monkeypatch):
@@ -665,6 +667,15 @@ def test_run_rejects_mismatched_weights():
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=1)
     with pytest.raises(ConfigError):
         run(p, np.ones((3, 3)) / 3.0, cfg)
+
+
+@pytest.mark.parametrize("start", [{"x0": np.inf}, {"y0": [[0.0], [np.nan]]}],
+                         ids=["x0", "y0"])
+def test_run_refuses_a_non_finite_start(start):
+    p = make_two_node_case_study()
+    cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=1)
+    with pytest.raises(ConfigError, match=f"{next(iter(start))} must be finite"):
+        run(p, np.full((2, 2), 0.5), cfg, **start)
 
 
 def test_run_projection_applied_and_grad_phi_suppressed():

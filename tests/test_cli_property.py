@@ -111,6 +111,15 @@ def _exit_code(argv: list[str]) -> int:
                          "--beta": "0.4999999"}, "5"))
 @example(vector=("sweep", {"--experiment": "counterexample", "--algos": "d-tiada",
                            "--alpha-grid": "0.75,0.45"}, "5"))
+# a start and a problem that overflow from finite flags: node 1 of the
+# first start, ybar_0 of the sweep's second cell and the closed forms at
+# alpha = 0.5009 are not finite (each exited 3 before they were refused)
+@example(vector=("run", {"--experiment": "case-study", "--init-x": "1e308",
+                         "--init-spread": "1e308"}, "5"))
+@example(vector=("sweep", {"--experiment": "counterexample", "--algos": "d-tiada",
+                           "--alpha-grid": "0.75,0.501", "--init-x": "1e200"}, "5"))
+@example(vector=("run", {"--experiment": "counterexample", "--alpha": "0.5009",
+                         "--beta": "0.25"}, "50"))
 def test_cli_exits_0_2_or_3_and_exit_2_writes_nothing(vector):
     command, flags, K = vector
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,7 +247,9 @@ _REFUSED_WITHOUT_A_PROBLEM = {
 @pytest.mark.parametrize("case", sorted(_REFUSED_WITHOUT_A_PROBLEM))
 def test_run_config_refuses_without_building_a_problem(monkeypatch, case):
     fields, fragment = _REFUSED_WITHOUT_A_PROBLEM[case]
-    monkeypatch.setattr(harness, "_build_problem", lambda *a: pytest.fail("a problem was built"))
+    for owner, factory in ((harness, "make_two_node_case_study"), (harness, "make_counterexample"),
+                           (harness, "make_synthetic"), (QuadraticMinimaxProblem, "from_dict")):
+        monkeypatch.setattr(owner, factory, lambda *a: pytest.fail("a problem was built"))
     ac = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, alpha=0.75, beta=0.25, K=5)
     with pytest.raises(ConfigError, match=fragment):
         RunConfig(**{"algo_configs": [ac], **fields})
@@ -265,6 +268,53 @@ def test_cli_sweep_with_a_refused_problem_writes_nothing(tmp_path, capsys, monke
     assert rc == 2
     assert err.startswith("config error:") and "alpha" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# experiment -> (its required RunConfig fields, "{problem}" standing for a
+# 3-node problem file; the default graph and start README documents, the
+# start as its manifest note's beginning and as (X0, Y0) on the problem;
+# a field that changes the instance, with a new value)
+_DOCUMENTED = {
+    "case-study": ({}, "ring", "x_i = 1.0 + 0.01*i, y_i = 1.0 + 0.01*i",
+                   lambda pr: ([[1.0], [1.01]], [[1.0], [1.01]]), ("seed", 1)),
+    "counterexample": ({}, "complete", "all nodes at (x0, slope*x0) = (10.0, ",
+                       lambda pr: ([[10.0]] * 3, [[pr.meta["init_slope"] * 10.0]] * 3),
+                       ("algo_configs", [AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1,
+                                                    alpha=0.75, beta=0.25, K=5)])),
+    "synthetic": ({"n": 4}, "exponential", "all nodes at the stationary point",
+                  lambda pr: tuple([v.tolist()] * 4 for v in pr.stationary_point()), ("seed", 1)),
+    "custom": ({"problem_json": "{problem}", "topology": GraphSpec(n=3, kind=GraphKind.RING)},
+               "ring", "x_i = 0.0 + 0.0*i, y_i = 0.0 + 0.0*i",
+               lambda pr: ([[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3), ("problem_json", "{copy}")),
+}
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_experiment_defaults_and_instance_sharing(tmp_path, experiment):
+    required, graph, note, start, (field_name, value) = _DOCUMENTED[experiment]
+    doc = json.dumps(make_random_problem(n=3, p=2, d=2, seed=4).to_dict())
+    paths = {"problem": tmp_path / "problem.json", "copy": tmp_path / "copy.json"}
+    for path in paths.values():
+        path.write_text(doc)
+
+    def config(**fields):
+        fields = {k: Path(v.format(**paths)) if isinstance(v, str) else v
+                  for k, v in {**required, **fields}.items()}
+        ac = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, K=5)
+        return RunConfig(**{"experiment": experiment, "algo_configs": [ac], **fields})
+
+    result = run_experiment(config())
+    man = result.manifest
+    assert man["topology"]["kind"] == graph
+    assert man["init"].startswith(note)
+    assert (man["init_x0"], man["init_y0"]) == start(result.problem)
+    problems = {}
+    first = harness.problem_for(config(), problems)
+    assert harness.problem_for(config(), problems) is first
+    changed = harness.problem_for(config(**{field_name: value}), problems)
+    # the case study's instance depends on nothing, so another seed shares it
+    assert (changed is first) == (experiment == "case-study")
+    assert len(problems) == 1 + (experiment != "case-study")
 
 
 def test_counterexample_report_shape():
@@ -291,6 +341,23 @@ def test_case_study_init_spread_zero_starts_both_nodes_together():
     assert man["init_x0"] == [[1.0], [1.0]]
     assert man["init_y0"] == [[1.0], [1.0]]
     assert man["init"] == "x_i = 1.0 + 0.0*i, y_i = 1.0 + 0.0*i"
+
+
+@pytest.mark.parametrize("experiment,fields", [
+    ("case-study", {"init_x": 1e308, "init_spread": 1e308}),  # x_1 = 2e308
+    ("synthetic", {"n": 3, "init_y": -1e308, "init_spread": -1e308}),  # y_1 = -2e308
+    # slope*init_x is about -3e150 * 1e200 at the exponents (0.501, 0.4)
+    ("counterexample", {"init_x": 1e200, "algo_configs": [
+        AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, alpha=0.501, beta=0.4, K=5)]}),
+])
+def test_a_start_with_a_non_finite_entry_is_refused(monkeypatch, experiment, fields):
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a method ran"))
+    ac = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, K=5)
+    cfg = RunConfig(**{"experiment": experiment, "algo_configs": [ac], **fields})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a RuntimeWarning
+        with pytest.raises(ConfigError, match="start is not finite at node"):
+            run_experiment(cfg)
 
 
 # ----------------------------------------------------------------------- CLI
@@ -479,6 +546,35 @@ def test_cli_sweep_counterexample_cells_run_their_exponents(tmp_path, capsys):
         m.pop("timestamp")
     assert strip[0]["problem"] != strip[1]["problem"]
     assert rows[0][5:] != rows[2][5:]
+
+
+# command -> its arguments: a start whose node 1 is inf, a counterexample
+# sweep whose second cell starts at ybar_0 = -inf, and exponents whose
+# closed forms overflow.  Each passed every check and then exited 3, the
+# sweep after writing both cells.
+_OVERFLOWING = {
+    "start": ["run", "--experiment", "case-study", "--init-x", "1e308",
+              "--init-spread", "1e308"],
+    "counterexample-start": ["sweep", "--experiment", "counterexample", "--algos", "d-tiada",
+                             "--alpha-grid", "0.75,0.501", "--init-x", "1e200"],
+    "closed-forms": ["run", "--experiment", "counterexample", "--alpha", "0.5009",
+                     "--beta", "0.25"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_cli_overflowing_start_or_problem_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                     monkeypatch, case):
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a method ran"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        rc = cli_main([*_OVERFLOWING[case], "--K", "50", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert ("start is not finite" in err) == case.endswith("start")
+    assert not out.exists()
 
 
 # sweep -> (its flags, its grids, the harness factory that builds its

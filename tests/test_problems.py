@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,9 +102,28 @@ def test_counterexample_refuses_exponents_whose_constants_leave_the_doubles(alph
 
 
 def test_counterexample_constants_next_to_the_refused_band_are_finite():
-    prob, slope = make_counterexample(0.5006, 0.4994)
-    assert 0.0 < prob.meta["a"] < 1e-250 and 1e250 < prob.meta["b"] < math.inf
+    # at 2*alpha - 1 = 0.002 and 1 - 2*beta = 0.0012 every constant and
+    # closed form is finite; at 2*alpha - 1 = 0.0012 the band passes, but
+    # Abar Bbar^-1 Abar^T overflows, and the problem is refused
+    prob, slope = make_counterexample(0.501, 0.4994)
+    assert 0.0 < prob.meta["a"] < 1e-150 and 1e250 < prob.meta["b"] < math.inf
     assert np.isfinite(prob.A_stack).all() and math.isfinite(slope)
+    assert np.isfinite(prob.grad_phi([[1.0]])).all() and np.isfinite(prob.y_star([[1.0]])).all()
+    with pytest.raises(ConfigError, match="closed forms"):
+        make_counterexample(0.5006, 0.4994)
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"A": [1e200, 1e200]},  # Abar Bbar^-1 Abar^T is 1e400
+    {"B": [1e-10, 1e-10], "c": [1e300, 1e300]},  # Bbar^-1 cbar is 1e310
+], ids=["phi_lin", "y_const"])
+def test_problem_whose_closed_forms_overflow_is_refused(coefficients):
+    fields = {"A": [1.0, 1.0], "B": [1.0, 1.0], "C": [1.0, 1.0], "b": [0.0, 0.0],
+              "c": [0.0, 0.0], **coefficients}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a RuntimeWarning
+        with pytest.raises(ConfigError, match="closed forms"):
+            scalar_problem(**fields)
 
 
 # ------------------------------------------------------------------ synthetic

@@ -8,7 +8,11 @@ compare two such sets file by file.
 directory that holds ``adast/``) on a fixed list of experiments: trace
 CSVs of the case study (once more with one method listed twice, so the
 second trace takes a de-duplicated label), of the counterexample at two
-starts, of a noisy synthetic run, of a coordinate-wise run, and of two
+starts, of a noisy synthetic run, of a coordinate-wise run, of three short
+runs that keep some of an experiment's defaults and override others (the
+counterexample on a 3-node ring, the case study on the complete graph
+with ``--init-spread 0``, and an 8-node synthetic run from ``--init-x 0.1
+--init-y -0.1`` rather than its stationary point), and of two
 noisy runs of a custom 60-node ring problem whose sides differ in size
 (p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise, and
 of two runs of all four methods on a custom 256-node ring problem, one
@@ -101,6 +105,15 @@ def write_set(src: Path, out: Path) -> None:
                              "--algos", "d-adast,d-adast", "--trace-stride", "10"],
         "counterexample": ["run", *ce],
         "counterexample-x0-minus-3": ["run", *ce, x0_flag, "-3"],
+        # an experiment's defaults on one side and overrides on the other
+        "counterexample-ring": ["run", "--experiment", "counterexample", "--topology", "ring",
+                                "--n", "3", "--K", "2000", "--trace-stride", "10"],
+        "case-study-complete": ["run", "--experiment", "case-study", "--topology", "complete",
+                                "--n", "2", "--init-spread", "0", "--K", "2000",
+                                "--trace-stride", "10"],
+        "synthetic-general-start": ["run", "--experiment", "synthetic", "--n", "8",
+                                    "--init-x", "0.1", "--init-y", "-0.1", "--K", "2000",
+                                    "--trace-stride", "10"],
         "synthetic": ["run", *synthetic],
         "coord-mixed": ["run", *synthetic, "--algos", "d-adast-coord",
                         "--stepsize-source", "mixed", "--init-x", "0.5",
