@@ -68,9 +68,14 @@ TRACKING_ALGORITHMS = ("d-adast", "d-adast-coord")
 _FIELDS = ("X", "Y", "Mx", "My")  # the state fields, in the order an abort screens them
 
 # Per-iteration rows and record snapshots are reduced in chunks of about
-# this many doubles, so a run's buffers do not grow with K.  Run times are
-# flat from 2**12 to 2**20 on n=50 runs; 2**10 is about 40% slower.
-_CHUNK_DOUBLES = 1 << 18
+# this many doubles (512 KiB), so a run's buffers do not grow with K and
+# H, D, the snapshots and flush's temporaries fit in a 2 MiB L2.  Median us
+# per iteration, this against 2**18, pairs alternating in one process on a
+# 2-core box, each inside the spread between pairs: n = 3 with stride-1
+# records 19.2 / 19.9 and 23.1 / 22.4 (two sets of 60 pairs), n = 50 noisy
+# 33.5 / 35.9 (20), 400-node ring coordinate-wise 211.8 / 211.4 (40),
+# 1600-node ring 841 / 843 and 905 / 854 (two sets of 40).
+_CHUNK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -435,7 +440,8 @@ class _Tally:
     per record; ``flush(j, r)`` reduces the first j rows into the
     per-iteration series and the first r snapshots into record columns.  A
     chunk holds about _CHUNK_DOUBLES doubles, so memory does not grow with
-    K beyond the series and records themselves.
+    K beyond the series and records themselves; ``trace()`` drops the chunk
+    buffers before it builds the output.
     """
 
     def __init__(self, problem, cfg: AlgoConfig, stepper: _Stepper, trace_stride: int):
@@ -490,6 +496,7 @@ class _Tally:
                 c.append(part)
 
     def trace(self, state: RunState, abort: AbortInfo | None) -> Trace:
+        self.H = self.D = self.snaps = None  # freed before the output columns are built
         problem, coord = self.problem, self.stepper.coord
         gx, gy, zv, zu, zh = (np.concatenate(s) for s in self.series)
         xbar, ybar, cx, cy, mx, my = (np.concatenate(c) for c in self.columns)
@@ -591,4 +598,5 @@ def run(
             r += 1
             ks.append(K)
         tally.flush(j, r)
+        del H, D, snaps  # the chunk buffers are spent; trace() releases them
         return tally.trace(state, abort)

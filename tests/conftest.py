@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from adast.problems import X_AXIS, Y_AXIS, QuadraticMinimaxProblem
+from adast.problems import X_AXIS, Y_AXIS, GradientStream, QuadraticMinimaxProblem
 
 
 def make_random_problem(
@@ -88,3 +88,117 @@ def node_sample(problem: QuadraticMinimaxProblem, i: int, x, y, noise, stream, k
     if noise.kind == "gaussian-clipped":
         gx, gy = (g * min(1.0, noise.clip / np.linalg.norm(g)) for g in (gx, gy))
     return gx, gy
+
+
+# Reference run, one node at a time, written from the update rules in
+# README and the algorithms module docstring rather than from the stepper:
+# every sum over neighbours and over nodes is an explicit loop, and gossip
+# is the plain weighted sum, not the mean-centered form.
+
+def _gossip(W: np.ndarray, vals: list) -> list:
+    """Node i's sum of W[i, j] * vals[j] over its in-neighbours j."""
+    n = len(vals)
+    return [sum(W[i, j] * vals[j] for j in range(n) if W[i, j] != 0.0) for i in range(n)]
+
+
+def _zeta(v: list, expo: float, coord: bool) -> float:
+    """Stepsize inconsistency of the denominators v (one array per node):
+    the largest (v_i^-a - vbar^-a)^2 / vbar^-2a over nodes for scalars, the
+    mean of that ratio over every entry for coordinate-wise ones; 0 when
+    every denominator is equal."""
+    flat = np.concatenate(v)
+    if flat.min() == flat.max():
+        return 0.0
+    ref = flat.mean() ** -expo
+    dev = np.concatenate([(vi ** -expo - ref) ** 2 / ref ** 2 for vi in v])
+    return float(dev.mean() if coord else dev.max())
+
+
+def reference_run(problem: QuadraticMinimaxProblem, W: np.ndarray, cfg, noise, X0, Y0,
+                  seed: int) -> dict:
+    """``run(problem, W, cfg, noise, x0=X0, y0=Y0, seed=seed)`` for every
+    method without projection, recorded at every iteration 0..K.
+
+    Per iteration each node i samples (g_x, g_y) at its iterates and adds
+    the squares (||g||^2 per node, g*g per coordinate for d-adast-coord) to
+    its accumulators m_x, m_y, except d-sgda, whose accumulators stay c0.
+    The stepsizes read the accumulated values, or for the tracked methods
+    with ``stepsize_source="mixed"`` their gossip.  D-TiAda steps x by
+    gamma_x * max(m_x, m_y)^-alpha; D-AdaST by gamma_x * psi * m_x^-alpha,
+    psi = m_x^alpha / max(m_x^alpha, m_y^alpha) from the accumulator norms
+    raised to 2 alpha for the coordinate-wise variant; every adaptive
+    method steps y by gamma_y * m_y^-beta.  Then x_i - s_x g_x and y_i +
+    s_y g_y are gossiped, and so are the accumulators of the tracked
+    methods with ``stepsize_source="local"``.  The applied denominators v
+    are max(m_x, m_y) (entrywise for d-adast-coord when p == d, else m_x)
+    and u = m_y.
+
+    Returns the final ``X``, ``Y``, ``Mx`` and ``My`` as (n, .) arrays and,
+    keyed by its name, each record column of the trace with one row per
+    iteration 0..K."""
+    n, p, K = problem.n, problem.p, cfg.K
+    algo, ax, by = cfg.algo, cfg.alpha, cfg.beta
+    tracked = algo in ("d-adast", "d-adast-coord")
+    coord = algo == "d-adast-coord"
+    stream = GradientStream(seed)
+    x = [np.array(X0[i], dtype=float) for i in range(n)]
+    y = [np.array(Y0[i], dtype=float) for i in range(n)]
+    mx = [np.full(p if coord else 1, cfg.c0) for _ in range(n)]
+    my = [np.full(problem.d if coord else 1, cfg.c0) for _ in range(n)]
+    Abar, Bbar, Cbar, bbar, cbar = (sum(S[i] for i in range(n)) / n for S in (
+        problem.A_stack, problem.B_stack, problem.C_stack, problem.b_stack, problem.c_stack))
+    cols = {name: [] for name in ("xbar", "ybar", "consensus_x", "consensus_y", "avg_m_x",
+                                  "avg_m_y", "grad_phi_sq", "grad_xf_sq", "zeta_v_inst",
+                                  "zeta_u_inst", "zeta_v_hat_inst")}
+    zeta = (0.0, 0.0, 0.0)
+
+    def record():
+        xbar, ybar = sum(x) / n, sum(y) / n
+        ystar = np.linalg.solve(Bbar, Abar.T @ xbar + cbar)
+        gphi = Abar @ ystar - Cbar @ xbar + bbar
+        gx = sum(local_grads(problem, i, xbar, ybar)[0] for i in range(n)) / n
+        values = (xbar, ybar, sum((xi - xbar) @ (xi - xbar) for xi in x),
+                  sum((yi - ybar) @ (yi - ybar) for yi in y),
+                  sum(m.mean() for m in mx) / n, sum(m.mean() for m in my) / n,
+                  gphi @ gphi, gx @ gx, *zeta)
+        for name, value in zip(cols, values):
+            cols[name].append(value)
+
+    record()
+    for k in range(K):
+        g = [node_sample(problem, i, x[i], y[i], noise, stream, k) for i in range(n)]
+        if algo != "d-sgda":
+            sq = (lambda v: v * v) if coord else (lambda v: np.array([v @ v]))
+            mx = [mx[i] + sq(g[i][0]) for i in range(n)]
+            my = [my[i] + sq(g[i][1]) for i in range(n)]
+            if tracked and cfg.stepsize_source == "mixed":
+                mx, my = _gossip(W, mx), _gossip(W, my)
+        sx, sy, v = [], [], []
+        for i in range(n):
+            if algo == "d-sgda":
+                sx.append(cfg.gamma_x)
+                sy.append(cfg.gamma_y)
+                continue
+            if algo == "d-tiada":
+                sx.append(cfg.gamma_x * np.maximum(mx[i], my[i]) ** -ax)
+            else:
+                px, py = ((mx[i] @ mx[i]) ** ax, (my[i] @ my[i]) ** ax) if coord else (
+                    mx[i] ** ax, my[i] ** ax)
+                psi = px / max(px, py) if max(px, py) > 0 else 1.0
+                sx.append(cfg.gamma_x * psi * mx[i] ** -ax)
+            sy.append(cfg.gamma_y * my[i] ** -by)
+            v.append(np.maximum(mx[i], my[i]) if not coord or p == problem.d else mx[i])
+        if algo != "d-sgda":
+            hat = 0.0
+            if coord:  # each node's entries against its own mean, scaled by the network mean
+                ref = np.concatenate(v).mean() ** -ax
+                hat = sum(((vi ** -ax - vi.mean() ** -ax) ** 2).sum() for vi in v) / (
+                    n * p * ref ** 2)
+            zeta = (_zeta(v, ax, coord), _zeta(my, by, coord), hat)
+        x = _gossip(W, [x[i] - sx[i] * g[i][0] for i in range(n)])
+        y = _gossip(W, [y[i] + sy[i] * g[i][1] for i in range(n)])
+        if tracked and cfg.stepsize_source == "local":
+            mx, my = _gossip(W, mx), _gossip(W, my)
+        record()
+    out = {"X": np.array(x), "Y": np.array(y), "Mx": np.array(mx), "My": np.array(my)}
+    return {**out, **{name: np.array(c) for name, c in cols.items()}}

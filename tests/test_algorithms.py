@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -25,7 +26,8 @@ from adast.problems import (
     make_two_node_case_study,
 )
 from adast.topology import GraphKind, GraphSpec, weights_for
-from conftest import grads_at, make_random_problem, scalar_problem, sinkhorn_doubly_stochastic
+from conftest import grads_at, make_random_problem, reference_run, scalar_problem, \
+    sinkhorn_doubly_stochastic
 
 
 def _scalar_problem(B, A, C, b, c, n=1):
@@ -453,6 +455,64 @@ def test_coordinate_duplicated_coordinates_reduce_to_scalar_case():
 
 # ------------------------------------------------------------------ run loop
 
+# Worst deviation of run() from the per-node reference over about 5000
+# random examples of the property below: 2.0e-13 (a coordinate-wise zeta
+# column; the final state at most 1.1e-13).  Pinned at 5x.
+_REFERENCE_RTOL = 1e-12
+
+
+def _deviation(ref, got, zeta=False) -> float:
+    """max |ref - got| over max |ref|, |got|.  A zeta column is compared as
+    sqrt(zeta), the relative spread of the stepsizes, on a scale of at least
+    1: a tracked run on a near-complete graph has every stepsize equal up
+    to rounding, and its zeta is then rounding noise of about 1e-30."""
+    ref, got = np.asarray(ref, dtype=float), np.asarray(got, dtype=float)
+    if zeta:
+        ref, got = np.sqrt(ref), np.sqrt(got)
+    scale = max(np.abs(ref).max(initial=0.0), np.abs(got).max(initial=0.0), float(zeta))
+    return 0.0 if scale == 0.0 else float(np.abs(ref - got).max(initial=0.0) / scale)
+
+
+@functools.cache
+def _graph(kind: str, n: int) -> np.ndarray:
+    if kind == "sinkhorn":
+        return sinkhorn_doubly_stochastic(n, seed=n)
+    return weights_for(GraphSpec(n=n, kind=GraphKind(kind))).W
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 2), d=st.integers(1, 2), K=st.integers(0, 30),
+       seed=st.integers(0, 2**16), algo=st.sampled_from(ALGORITHMS),
+       source=st.sampled_from(["local", "mixed"]),
+       graph=st.sampled_from(["ring", "complete", "exponential", "sinkhorn"]),
+       sigma=st.sampled_from([0.0, 0.5]), gammas=st.tuples(*[st.floats(0.01, 0.3)] * 2),
+       exponents=st.tuples(st.floats(0.55, 0.9), st.floats(0.1, 0.45)))
+def test_run_matches_the_per_node_reference(n, p, d, K, seed, algo, source, graph, sigma,
+                                            gammas, exponents):
+    prob = make_random_problem(n=n, p=p, d=d, seed=seed)
+    W = _graph(graph, n)
+    cfg = AlgoConfig(algo=algo, gamma_x=gammas[0], gamma_y=gammas[1], alpha=exponents[0],
+                     beta=exponents[1], K=K, stepsize_source=source)
+    noise = NoiseModel.gaussian(sigma) if sigma else NoiseModel.none()
+    rng = np.random.default_rng(seed)
+    X0, Y0 = rng.standard_normal((n, p)), rng.standard_normal((n, d))
+    trace = run(prob, W, cfg, noise, x0=X0, y0=Y0, seed=seed, trace_stride=1)
+    ref = reference_run(prob, W, cfg, noise, X0, Y0, seed)
+    assert not trace.aborted
+    final = trace.final_state
+    devs = {name: _deviation(ref[name].reshape(getattr(final, name).shape),
+                             getattr(final, name)) for name in ("X", "Y", "Mx", "My")}
+    for name in ("xbar", "ybar", "consensus_x", "consensus_y", "avg_m_x", "avg_m_y",
+                 "grad_phi_sq", "grad_xf_sq", "zeta_v_inst", "zeta_u_inst", "zeta_v_hat_inst"):
+        if getattr(trace, name) is not None:
+            devs[name] = _deviation(ref[name][trace.k], getattr(trace, name), "zeta" in name)
+    for side in ("v", "u"):
+        sup = np.maximum.accumulate(ref[f"zeta_{side}_inst"])[trace.k]
+        devs[f"zeta_{side}_sup"] = _deviation(sup, getattr(trace, f"zeta_{side}_sup"), True)
+    worst = max(devs, key=devs.get)
+    assert devs[worst] <= _REFERENCE_RTOL, (worst, devs[worst])
+
+
 def test_run_k0_only_initial_record():
     p = make_two_node_case_study()
     W = np.full((2, 2), 0.5)
@@ -556,6 +616,25 @@ def test_stride_one_records_retain_little_memory():
         tracemalloc.stop()
     assert len(trace.k) == 20_002
     assert retained < 5 * 2**20, f"{retained / 2**20:.1f} MiB retained"
+
+
+def test_large_run_works_in_a_small_window():
+    """The run's working memory, its peak above the trace it returns, is the
+    chunk window (H, D, snapshots and flush's temporaries), not a multiple
+    of the state: 1.8 MiB for this 400-node coordinate-wise run with K = 300
+    and stride-1 records, where 2**18-double chunks took 6.4 MiB."""
+    prob = make_random_problem(n=400, p=2, d=2, seed=1)
+    W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W
+    cfg = AlgoConfig(algo="d-adast-coord", gamma_x=0.05, gamma_y=0.05, K=300,
+                     stepsize_source="mixed")
+    tracemalloc.start()
+    try:
+        trace = run(prob, W, cfg, x0=0.1, y0=-0.1, trace_stride=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not trace.aborted and len(trace.k) == 302
+    assert peak - retained < 3 * 2**20, f"{(peak - retained) / 2**20:.1f} MiB above the trace"
 
 
 @pytest.mark.parametrize("chunk_iters", [1, 7])

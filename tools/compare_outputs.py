@@ -29,16 +29,22 @@ lands in its own subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
-apart from ``timestamp``.  It prints each difference and exits 1 when
-there is one, 0 otherwise.  Typical use: write the set for the parent
-commit's ``src`` (from a ``git archive`` copy) and for the working tree,
-then compare them.
+apart from ``timestamp``.  It prints each difference and says how large
+it is: for a CSV whose bytes differ, the lines and columns that differ
+and the largest relative and ULP difference between their numbers (or
+that the header or the row count differs); for a ``manifest.json`` whose
+values differ, the key paths that differ (``problem.meta.seed``; a list
+is one key).  It exits 1 when there is a difference, 0 otherwise.
+Typical use: write the set for the parent commit's ``src`` (from a ``git
+archive`` copy) and for the working tree, then compare them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +164,52 @@ def write_set(src: Path, out: Path) -> None:
         (out / "spectral" / f"{kind}-{n}.json").write_text(line)
 
 
+def _key_paths(va, vb, at: str = "") -> list[str]:
+    """The dotted paths at which two parsed JSON values differ: dicts are
+    followed key by key, anything else (a list included) is one leaf."""
+    if isinstance(va, dict) and isinstance(vb, dict):
+        return [path for k in sorted(va.keys() | vb.keys())
+                for path in _key_paths(va.get(k), vb.get(k), f"{at}.{k}" if at else k)]
+    return [] if json.dumps(va, sort_keys=True) == json.dumps(vb, sort_keys=True) else [at or "."]
+
+
+def _ulp_key(x: float) -> int:
+    """An integer that orders doubles as the reals do, one step per ULP."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _csv_differences(fa: Path, fb: Path) -> list[str]:
+    """How two CSVs with a header line differ, as lines to print."""
+    ra, rb = (list(csv.reader(f.read_text().splitlines())) for f in (fa, fb))
+    if not ra or not rb or ra[0] != rb[0]:
+        return ["header differs"]
+    if len(ra) != len(rb):
+        return [f"{len(ra) - 1} against {len(rb) - 1} rows"]
+    header, lines, cols, rel, ulp = ra[0], [], set(), 0.0, 0
+    for line, (row_a, row_b) in enumerate(zip(ra[1:], rb[1:]), start=2):
+        if row_a == row_b:
+            continue
+        lines.append(line)
+        for name, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            cols.add(name)
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue  # a text cell
+            if x != y:  # the scale is never 0, so NaN against 0 does not divide by it
+                rel = max(rel, abs(x - y) / max(abs(x), abs(y), math.ulp(0.0)))
+                ulp = max(ulp, abs(_ulp_key(x) - _ulp_key(y)))
+    if not lines:
+        return []
+    shown = ", ".join(map(str, lines[:10])) + (", ..." if len(lines) > 10 else "")
+    return [f"{len(lines)} of {len(ra) - 1} rows differ (lines {shown}),"
+            f" in columns {', '.join(h for h in header if h in cols)}",
+            f"largest difference {rel:.3g} relative, {ulp} ULP"]
+
+
 def compare_sets(a: Path, b: Path) -> int:
     files = sorted({f.relative_to(root) for root in (a, b)
                     for f in root.rglob("*") if f.is_file()})
@@ -168,14 +220,16 @@ def compare_sets(a: Path, b: Path) -> int:
             print(f"{rel}: only in {a if fa.is_file() else b}")
         elif rel.name == "manifest.json":
             ma, mb = json.loads(fa.read_text()), json.loads(fb.read_text())
-            keys = sorted(k for k in (ma.keys() | mb.keys()) - {"timestamp"}
-                          if json.dumps(ma.get(k), sort_keys=True)
-                          != json.dumps(mb.get(k), sort_keys=True))
+            ma.pop("timestamp", None)
+            mb.pop("timestamp", None)
+            keys = _key_paths(ma, mb)
             if not keys:
                 continue
-            print(f"{rel}: manifest values differ at {keys}")
+            print(f"{rel}: manifest values differ at {', '.join(keys)}")
         elif fa.read_bytes() != fb.read_bytes():
             print(f"{rel}: bytes differ")
+            for line in _csv_differences(fa, fb) if rel.suffix == ".csv" else []:
+                print(f"  {line}")
         else:
             continue
         differ += 1
