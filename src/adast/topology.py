@@ -1,10 +1,20 @@
 """Communication graphs, doubly-stochastic weight matrices and connectivity.
 
-Graphs are stored as an (n, n) boolean receive-adjacency: entry (i, j)
-says that node i receives node j's values each round.  Undirected kinds
-(ring, dense, complete) have symmetric adjacency; directed-ring and
-exponential are directed but keep equal in- and out-degrees, which is
-what makes the uniform weighting doubly stochastic.
+A graph is a list of receive edges (i, j): node i receives node j's
+values each round.  Undirected kinds (ring, dense, complete) have a
+symmetric edge list; directed-ring and exponential are directed but keep
+equal in- and out-degrees, which is what makes the uniform weighting
+doubly stochastic.  ``build_graph`` returns the same graph as an (n, n)
+boolean receive-adjacency, and the public weight functions take one.
+
+Apart from W itself, building W costs O(edges), times log(edges) where
+the sorted edge list is searched: the edge arrays, the symmetry, degree
+and connectivity checks and the scatter of the weights all work on the
+edge list.  What stays O(n^2) is what reads or writes the dense W:
+zeroing it, the Metropolis diagonal ``1 - row sum``, and
+``spectral_rho``'s circulance test, which compares W - J with its first
+row's shifts a block of rows at a time and so needs no second (n, n)
+array.
 
 The connectivity constant is ``rho_w = ||W - J||_2^2`` (squared spectral
 norm, J = ones/n).  Note that experiment write-ups conventionally quote
@@ -112,46 +122,112 @@ def _dense_offsets(n: int) -> list[int]:
     return sorted(offsets)
 
 
+def _offsets(kind: GraphKind, n: int) -> list[int]:
+    """The offsets o of a built-in kind: node i receives from (i + o) % n."""
+    if kind is GraphKind.RING:
+        return [-1, 1]
+    if kind is GraphKind.DIRECTED_RING:
+        return [1]
+    if kind is GraphKind.EXPONENTIAL:
+        return [-o for o in _exponential_offsets(n)]
+    if kind is GraphKind.DENSE:
+        return [s * o for o in _dense_offsets(n) for s in (-1, 1)]
+    return list(range(1, n))  # complete
+
+
+def _edges(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The receive edges (i, j) of a graph specification, node i receiving
+    from node j: sorted by i then j, without duplicates or self-loops."""
+    n = spec.n
+    if spec.kind is GraphKind.CUSTOM:
+        i, j = np.array(spec.edges, dtype=np.int64).reshape(-1, 2).T
+        keys = np.sort((i * n + j)[i != j])
+        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    # node i receives from i + r (mod n) for each distinct nonzero residue r;
+    # its row starts at the residues that wrap past n - 1, and so is sorted
+    residues = np.array(sorted({o % n for o in _offsets(spec.kind, n)} - {0}), dtype=np.int64)
+    nodes, m = np.arange(n), len(residues)
+    turn = (np.arange(m) + np.searchsorted(residues, n - nodes)[:, None]) % max(m, 1)
+    j = nodes[:, None] + residues[turn]
+    j[j >= n] -= n
+    return np.repeat(nodes, m), j.ravel()
+
+
 def build_graph(spec: GraphSpec) -> np.ndarray:
     """The (n, n) boolean receive-adjacency of a graph specification:
     entry (i, j) is True when node i receives from node j.
 
     Self-loops are excluded; they enter through the weight construction.
     """
-    n = spec.n
-    adj = np.zeros((n, n), dtype=bool)
-    if spec.kind is GraphKind.CUSTOM:
-        if spec.edges:
-            adj[tuple(np.array(spec.edges).T)] = True
-    else:
-        # node i receives from node (i + o) % n for each offset o
-        if spec.kind is GraphKind.RING:
-            offsets = [-1, 1]
-        elif spec.kind is GraphKind.DIRECTED_RING:
-            offsets = [1]
-        elif spec.kind is GraphKind.EXPONENTIAL:
-            offsets = [-o for o in _exponential_offsets(n)]
-        elif spec.kind is GraphKind.DENSE:
-            offsets = [s * o for o in _dense_offsets(n) for s in (-1, 1)]
-        else:  # complete
-            offsets = range(1, n)
-        nodes = np.arange(n)
-        for o in offsets:
-            adj[nodes, (nodes + o) % n] = True
-    np.fill_diagonal(adj, False)
+    adj = np.zeros((spec.n, spec.n), dtype=bool)
+    adj[_edges(spec)] = True
     return adj
 
 
+def _symmetric(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether every edge, sorted by i then j, has its reverse edge."""
+    keys, rev = i * n + j, j * n + i
+    return np.array_equal(keys.take(np.searchsorted(keys, rev), mode="clip"), rev)
+
+
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the union graph of the edges (and their reverses) is
+    connected, by min-label hooking with pointer jumping.
+
+    Every node points at a smaller label or at itself, so the pointers form
+    a forest.  A round hooks each tree's root onto the smallest root that
+    an edge reaches, then jumps pointers until every node points at its
+    root.  The graph is connected once every node's root is node 0, and
+    is not when an edge-less round leaves some other root.  A round costs
+    O(edges + n log n); every built-in kind takes one, since each node but
+    0 has the neighbour one below it."""
+    parent = np.arange(n)
+    while parent.any():
+        a, b = parent[i], parent[j]
+        hook = a != b
+        if not hook.any():
+            return False
+        a, b = a[hook], b[hook]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    return True
+
+
+def _metropolis(n: int, i: np.ndarray, j: np.ndarray) -> WeightMatrix:
+    """Metropolis weights of a symmetric edge list."""
+    if not _connected(n, i, j):
+        raise GraphConnectivityError("graph is not connected")
+
+    deg = np.bincount(i, minlength=n)
+    W = np.zeros((n, n))
+    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return WeightMatrix(W=W, rho_w=spectral_rho(W))
+
+
+def _uniform(n: int, i: np.ndarray, j: np.ndarray) -> WeightMatrix:
+    """Uniform weights of an edge list whose nodes all have one in- and
+    out-degree."""
+    in_deg, out_deg = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
+    if (in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any():
+        raise InvalidGraphError(
+            "uniform weighting needs equal in/out degrees, "
+            f"got in={in_deg.tolist()} out={out_deg.tolist()}"
+        )
+    if not _connected(n, i, j):
+        raise GraphConnectivityError("graph is not connected")
+
+    w = 1.0 / (in_deg[0] + 1)
+    W = np.zeros((n, n))
+    W[i, j] = w
+    np.fill_diagonal(W, w)
+    return WeightMatrix(W=W, rho_w=spectral_rho(W))
+
+
 def is_connected(adj: np.ndarray) -> bool:
-    """Breadth-first traversal on the union graph (edges of W and W^T)."""
-    union = adj | adj.T
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[0] = True
-    frontier = seen
-    while frontier.any():
-        frontier = union[frontier].any(axis=0) & ~seen
-        seen = seen | frontier
-    return bool(seen.all())
+    """Whether the union graph (edges of W and W^T) is connected."""
+    return _connected(len(adj), *np.nonzero(adj))
 
 
 def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
@@ -159,20 +235,13 @@ def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
 
     Requires an undirected, connected graph.
     """
-    if not np.array_equal(adj, adj.T):
-        i, j = np.argwhere(adj & ~adj.T)[0]
+    n, (i, j) = len(adj), np.nonzero(adj)
+    if not _symmetric(n, i, j):
+        k = np.argmin(np.isin(j * n + i, i * n + j))
         raise InvalidGraphError(
-            f"metropolis weights need an undirected graph; edge {i}<-{j} has no reverse"
+            f"metropolis weights need an undirected graph; edge {i[k]}<-{j[k]} has no reverse"
         )
-    if not is_connected(adj):
-        raise GraphConnectivityError("graph is not connected")
-
-    deg = adj.sum(axis=1)
-    i, j = np.nonzero(adj)
-    W = np.zeros(adj.shape)
-    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return WeightMatrix(W=W, rho_w=spectral_rho(W))
+    return _metropolis(n, i, j)
 
 
 def uniform_out_weights(adj: np.ndarray) -> WeightMatrix:
@@ -180,30 +249,22 @@ def uniform_out_weights(adj: np.ndarray) -> WeightMatrix:
 
     Doubly stochastic provided every node has in-degree == out-degree == d.
     """
-    in_deg, out_deg = adj.sum(axis=1), adj.sum(axis=0)
-    if (in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any():
-        raise InvalidGraphError(
-            "uniform weighting needs equal in/out degrees, "
-            f"got in={in_deg.tolist()} out={out_deg.tolist()}"
-        )
-    if not is_connected(adj):
-        raise GraphConnectivityError("graph is not connected")
-
-    w = 1.0 / (in_deg[0] + 1)
-    W = adj * w
-    np.fill_diagonal(W, w)
-    return WeightMatrix(W=W, rho_w=spectral_rho(W))
+    return _uniform(len(adj), *np.nonzero(adj))
 
 
 def weights_for(spec: GraphSpec) -> WeightMatrix:
     """Default weight scheme per kind: uniform for the directed graphs and
     the complete graph (whose W is then exactly J = ones/n), Metropolis
     for the other undirected ones."""
-    adj = build_graph(spec)
+    n, (i, j) = spec.n, _edges(spec)
     uniform = (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL, GraphKind.COMPLETE)
-    if spec.kind in uniform or not np.array_equal(adj, adj.T):
-        return uniform_out_weights(adj)
-    return metropolis_weights(adj)
+    if spec.kind in uniform or not _symmetric(n, i, j):
+        return _uniform(n, i, j)
+    return _metropolis(n, i, j)
+
+
+# Entries of W - J formed at a time by the circulance test (128 KiB).
+_BLOCK_DOUBLES = 2**14
 
 
 def spectral_rho(W: np.ndarray) -> float:
@@ -211,18 +272,23 @@ def spectral_rho(W: np.ndarray) -> float:
 
     A circulant A (row i is row 0 shifted right by i, as for every
     built-in kind but dense at most n) is normal, so its singular values
-    are the magnitudes of the DFT of row 0: O(n^2) to detect, O(n log n)
-    to solve.  On a 400-node ring this gives 0.9998355167397894 against
+    are the magnitudes of the DFT of row 0: O(n^2) time to detect, in
+    blocks of rows that need about 128 KiB beside W, and O(n log n) to
+    solve.  On a 400-node ring this gives 0.9998355167397894 against
     the closed form's 0.99983551673978950; the eigen-solve gives
-    0.9998355167397917.  Any other A takes max |eigenvalue|^2 when it is
-    symmetric, else the largest eigenvalue of A^T A."""
+    0.9998355167397917.  Any other A is built in full and takes
+    max |eigenvalue|^2 when it is symmetric, else the largest eigenvalue
+    of A^T A."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError(f"weight matrix must be square, got shape {W.shape}")
-    A = W - 1.0 / W.shape[0]
-    row = A[0]
-    if np.array_equal(A, sliding_window_view(np.concatenate([row, row])[1:], len(row))[::-1]):
+    n, J = W.shape[0], 1.0 / W.shape[0]
+    row = W[0] - J
+    shifted = sliding_window_view(np.concatenate([row, row])[1:], n)[::-1]
+    rows = max(1, _BLOCK_DOUBLES // n)
+    if all(np.array_equal(W[r:r + rows] - J, shifted[r:r + rows]) for r in range(0, n, rows)):
         return float(np.abs(np.fft.fft(row)).max() ** 2)
+    A = W - J
     if np.array_equal(A, A.T):
         return float(np.abs(np.linalg.eigvalsh(A)).max() ** 2)
     return float(np.linalg.eigvalsh(A.T @ A)[-1])

@@ -97,8 +97,7 @@ def node_sample(problem: QuadraticMinimaxProblem, i: int, x, y, noise, stream, k
 
 def _gossip(W: np.ndarray, vals: list) -> list:
     """Node i's sum of W[i, j] * vals[j] over its in-neighbours j."""
-    n = len(vals)
-    return [sum(W[i, j] * vals[j] for j in range(n) if W[i, j] != 0.0) for i in range(n)]
+    return [sum(w * v for w, v in zip(row, vals) if w != 0.0) for row in W.tolist()]
 
 
 def _zeta(v: list, expo: float, coord: bool) -> float:

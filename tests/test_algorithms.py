@@ -484,9 +484,12 @@ def _graph(kind: str, n: int) -> np.ndarray:
 @given(n=st.integers(1, 6), p=st.integers(1, 2), d=st.integers(1, 2), K=st.integers(0, 30),
        seed=st.integers(0, 2**16), algo=st.sampled_from(ALGORITHMS),
        source=st.sampled_from(["local", "mixed"]),
-       graph=st.sampled_from(["ring", "complete", "exponential", "sinkhorn"]),
+       graph=st.sampled_from(["ring", "directed-ring", "complete", "exponential", "sinkhorn"]),
        sigma=st.sampled_from([0.0, 0.5]), gammas=st.tuples(*[st.floats(0.01, 0.3)] * 2),
        exponents=st.tuples(st.floats(0.55, 0.9), st.floats(0.1, 0.45)))
+# a 256-node ring gossips by the sparse product (3 * 64 < 256)
+@example(n=256, p=2, d=1, K=5, seed=11, algo="d-adast-coord", source="mixed", graph="ring",
+         sigma=0.5, gammas=(0.1, 0.1), exponents=(0.6, 0.4))
 def test_run_matches_the_per_node_reference(n, p, d, K, seed, algo, source, graph, sigma,
                                             gammas, exponents):
     prob = make_random_problem(n=n, p=p, d=d, seed=seed)

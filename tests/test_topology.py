@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from adast.errors import ConfigError, GraphConnectivityError, InvalidGraphError
 from adast.topology import (
@@ -207,6 +209,13 @@ def test_circulant_weights_skip_the_eigen_solve(monkeypatch):
         weights_for(GraphSpec(n=63, kind=GraphKind.DENSE))
     with pytest.raises(EigenSolve):
         spectral_rho(sinkhorn_doubly_stochastic(6, seed=1))
+    # a ring W that is circulant but for its last two rows, past the
+    # circulance test's first blocks of rows
+    W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W.copy()
+    W[[398, 399], [398, 399]] -= 1e-3
+    W[[398, 399], [399, 398]] += 1e-3
+    with pytest.raises(EigenSolve):
+        spectral_rho(W)
 
 
 def test_validation_report():
@@ -264,14 +273,97 @@ def _loop_weights(adj: np.ndarray, metropolis: bool) -> np.ndarray:
     return W
 
 
-@pytest.mark.parametrize("n", [2, 5, 37, 100, 129])
+def _dense_rho(W: np.ndarray) -> float:
+    """``spectral_rho`` with the circulance test on the whole of A = W - J
+    at once: the reference for the test in row blocks."""
+    A = W - 1.0 / len(W)
+    row = A[0]
+    if np.array_equal(A, sliding_window_view(np.concatenate([row, row])[1:], len(row))[::-1]):
+        return float(np.abs(np.fft.fft(row)).max() ** 2)
+    if np.array_equal(A, A.T):
+        return float(np.abs(np.linalg.eigvalsh(A)).max() ** 2)
+    return float(np.linalg.eigvalsh(A.T @ A)[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 64, 65, 100, 129, 400])
 def test_weights_equal_the_node_by_node_construction(n):
+    metropolis = {GraphKind.RING, GraphKind.DENSE}
+    for kind in [k for k in GraphKind if k is not GraphKind.CUSTOM]:
+        spec = GraphSpec(n=n, kind=kind)
+        adj = build_graph(spec)
+        wm = weights_for(spec)
+        assert np.array_equal(wm.W, _loop_weights(adj, kind in metropolis))
+        assert wm.rho_w == _dense_rho(wm.W)
     for kind in (GraphKind.RING, GraphKind.DENSE, GraphKind.COMPLETE):
         adj = build_graph(GraphSpec(n=n, kind=kind))
         assert np.array_equal(metropolis_weights(adj).W, _loop_weights(adj, True))
     for kind in (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL, GraphKind.COMPLETE):
         adj = build_graph(GraphSpec(n=n, kind=kind))
         assert np.array_equal(uniform_out_weights(adj).W, _loop_weights(adj, False))
+
+
+def _bfs_connected(adj: np.ndarray) -> bool:
+    """Breadth-first traversal on the union graph (edges of W and W^T),
+    one frontier of the dense adjacency per round: the reference for
+    ``is_connected``."""
+    union = adj | adj.T
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = union[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
+
+
+@st.composite
+def _edge_lists(draw):
+    """A directed edge list on at most 30 nodes: random pairs, and for about
+    half the draws a path through every node in a random order (so that
+    labels do not follow the path), less one of its edges for some."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        path = [(a, b) if draw(st.booleans()) else (b, a) for a, b in zip(order, order[1:])]
+        if path and draw(st.booleans()):
+            del path[draw(st.integers(0, len(path) - 1))]
+        edges += path
+    return n, tuple(edges)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph=_edge_lists())
+@example(graph=(3, ()))
+@example(graph=(4, ((0, 1), (1, 0), (2, 3), (3, 2))))
+@example(graph=(6, ((5, 0), (1, 5), (4, 1), (2, 4), (3, 2))))  # the path 0-5-1-4-2-3
+def test_connectivity_matches_breadth_first_search(graph):
+    n, edges = graph
+    adj = build_graph(GraphSpec(n=n, kind=GraphKind.CUSTOM, edges=edges))
+    assert is_connected(adj) == _bfs_connected(adj)
+
+
+def test_every_built_in_kind_is_connected():
+    for kind in [k for k in GraphKind if k is not GraphKind.CUSTOM]:
+        for n in range(1, 71):
+            adj = build_graph(GraphSpec(n=n, kind=kind))
+            assert is_connected(adj) and _bfs_connected(adj), (kind, n)
+
+
+def test_weights_hold_little_memory_beside_w():
+    # W is 8 MB; the edge lists, the checks and the circulance test's row
+    # blocks add about 3 %, where a dense adjacency and a dense W - J
+    # would add more than W again
+    spec = GraphSpec(n=1000, kind=GraphKind.RING)
+    weights_for(spec)
+    tracemalloc.start()
+    try:
+        W = weights_for(spec).W
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * W.nbytes, peak / W.nbytes
 
 
 def test_metropolis_symmetry():

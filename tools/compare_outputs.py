@@ -23,9 +23,12 @@ noisy synthetic sweep on 16 nodes over a primal-stepsize and an exponent
 grid, each with its ``sweep.csv`` (the cells of a sweep share one
 problem instance per key, so these check that sharing); three ``adast
 counterexample`` reports, the third with a d-adast horizon
-(``--K-escape``) and a primal stepsize of its own; and five ``adast
-spectral`` lines, one per graph kind the command line can build.  Each
-lands in its own subdirectory of OUT_DIR.
+(``--K-escape``) and a primal stepsize of its own; and seven ``adast
+spectral`` lines: one per graph kind the command line can build, a
+1600-node ring and a 400-node dense graph.  The rings' constants come from
+the DFT after a circulance test over 10 and 160 blocks of rows; the dense
+graphs' rounded diagonals break circulance, so theirs come from the
+eigen-solve.  Each lands in its own subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -159,7 +162,7 @@ def write_set(src: Path, out: Path) -> None:
                      "--out", str(out / "reports" / f"ce-{alpha}-{beta}-{x0}-{K}.json")])
     (out / "spectral").mkdir(exist_ok=True)
     for kind, n in (("exponential", "50"), ("ring", "400"), ("directed-ring", "50"),
-                    ("dense", "50"), ("complete", "3")):
+                    ("dense", "50"), ("complete", "3"), ("ring", "1600"), ("dense", "400")):
         line = _adast(src, ["spectral", "--topology", kind, "--n", n])
         (out / "spectral" / f"{kind}-{n}.json").write_text(line)
 
