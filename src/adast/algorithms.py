@@ -54,6 +54,7 @@ from .problems import ALL, GradientStream, NoiseModel, ProjectionSet, QuadraticM
 __all__ = [
     "ALGORITHMS",
     "ADAPTIVE_ALGORITHMS",
+    "STEPSIZE_SOURCES",
     "AlgoConfig",
     "RunState",
     "AbortInfo",
@@ -65,6 +66,7 @@ __all__ = [
 ALGORITHMS = ("d-sgda", "d-tiada", "d-adast", "d-adast-coord")
 ADAPTIVE_ALGORITHMS = ("d-tiada", "d-adast", "d-adast-coord")
 TRACKING_ALGORITHMS = ("d-adast", "d-adast-coord")
+STEPSIZE_SOURCES = ("local", "mixed")  # the accumulators a stepsize reads: pre- or post-mix
 _FIELDS = ("X", "Y", "Mx", "My")  # the state fields, in the order an abort screens them
 
 # Per-iteration rows and record snapshots are reduced in chunks of about
@@ -106,7 +108,7 @@ class AlgoConfig:
             raise ConfigError("initial buffer c0 must be nonnegative")
         if self.K < 0:
             raise ConfigError("iteration count K must be nonnegative")
-        if self.stepsize_source not in ("local", "mixed"):
+        if self.stepsize_source not in STEPSIZE_SOURCES:
             raise ConfigError("stepsize_source must be 'local' or 'mixed'")
         if self.algo in ADAPTIVE_ALGORITHMS and not (0.0 < self.beta < self.alpha < 1.0):
             raise ConfigError(

@@ -3,15 +3,19 @@
 Subcommands:
   run             execute one experiment (case-study, counterexample,
                   synthetic or custom) and write traces + manifest + plots
+                  into --out-dir (default runs/latest)
   counterexample  invariance report for d-tiada vs d-adast on the
                   three-node construction (machine-readable JSON)
-  sweep           grid over stepsizes or exponents, one summary row per cell
+  sweep           grid over stepsizes or exponents, one summary row per
+                  cell, into --out-dir (default runs/sweep)
   spectral        connectivity constants and the stochasticity report of a
                   topology, one JSON object per line
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort.
-A flat key = value config file can seed any flags of `run` and `sweep`;
-explicit flags override the file.
+`main` parses the chosen subcommand's flags once and hands them to its
+handler.  `run` and `sweep` share their flags, whose defaults and choices
+are the library's own.  Exit codes: 0 success, 2 configuration error (an
+empty --out-dir included), 3 numeric abort.  A flat key = value config
+file can seed any flags of `run` and `sweep`; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import AlgoConfig
+from .algorithms import STEPSIZE_SOURCES, AlgoConfig
 from .errors import ConfigError
 from .harness import (EXPERIMENTS, RunConfig, counterexample_report, problem_for, run_experiment,
                       start_for)
-from .problems import NoiseModel
+from .problems import NOISE_KINDS, NoiseModel
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
-_NOISE_KINDS = ("none", "gaussian", "gaussian-clipped")
+_TOPOLOGIES = "ring | directed-ring | exponential | dense | complete"
+# the AlgoConfig fields a sweep grids over, in the order of its cells' names and columns
+_GRID = ("gamma_x", "gamma_y", "alpha", "beta")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -106,44 +112,29 @@ def _graph_spec(kind: str, n: int | None) -> GraphSpec:
     return GraphSpec(n=n, kind=gk)
 
 
-def _algo_configs_from_args(args) -> list[AlgoConfig]:
-    return [
-        AlgoConfig(
-            algo=algo,
-            gamma_x=args.gamma_x,
-            gamma_y=args.gamma_y,
-            alpha=args.alpha,
-            beta=args.beta,
-            c0=args.c0,
-            K=args.K,
-            stepsize_source=args.stepsize_source,
-        )
-        for algo in _csv_list(args.algos)
-    ]
-
-
-def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+def _run_flags(sp: argparse.ArgumentParser) -> None:
+    """The flags of `run`, which `sweep` shares."""
     sp.add_argument("--config", help="flat key = value config file; flags override")
     sp.add_argument("--experiment", default="case-study", choices=EXPERIMENTS)
     sp.add_argument("--algos", default="d-sgda,d-tiada,d-adast",
                     help="comma-separated algorithm list")
-    sp.add_argument("--topology", default=None,
-                    help="ring | directed-ring | exponential | dense | complete")
+    sp.add_argument("--topology", default=None, help=_TOPOLOGIES)
     sp.add_argument("--n", type=int, default=None, help="node count")
     sp.add_argument("--K", type=int, default=100_000, help="iterations")
     sp.add_argument("--gamma-x", type=float, default=0.1)
     sp.add_argument("--gamma-y", type=float, default=0.1)
-    sp.add_argument("--alpha", type=float, default=0.6)
-    sp.add_argument("--beta", type=float, default=0.4)
-    sp.add_argument("--c0", type=float, default=1e-6, help="initial accumulator buffer")
-    sp.add_argument("--stepsize-source", default="local", choices=("local", "mixed"),
+    sp.add_argument("--alpha", type=float, default=AlgoConfig.alpha)
+    sp.add_argument("--beta", type=float, default=AlgoConfig.beta)
+    sp.add_argument("--c0", type=float, default=AlgoConfig.c0, help="initial accumulator buffer")
+    sp.add_argument("--stepsize-source", default=AlgoConfig.stepsize_source,
+                    choices=STEPSIZE_SOURCES,
                     help="accumulators feeding the stepsize: pre-mix (local) or post-mix")
-    sp.add_argument("--noise", default=None, choices=_NOISE_KINDS)
-    sp.add_argument("--sigma", type=float, default=0.31622776601683794,
+    sp.add_argument("--noise", default=None, choices=NOISE_KINDS)
+    sp.add_argument("--sigma", type=float, default=0.1 ** 0.5,
                     help="noise std (default sqrt(0.1))")
     sp.add_argument("--clip", type=float, default=None, help="gradient norm bound")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trace-stride", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=RunConfig.seed)
+    sp.add_argument("--trace-stride", type=int, default=RunConfig.trace_stride)
     sp.add_argument("--out-dir", default="runs/latest")
     sp.add_argument("--init-x", type=float, default=None,
                     help="start x_i = init_x + init_spread*i; the counterexample's x0")
@@ -152,15 +143,47 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--problem-json", default=None)
 
 
-def _run_config_from_args(args) -> RunConfig:
+def _sweep_flags(sp: argparse.ArgumentParser) -> None:
+    _run_flags(sp)
+    sp.set_defaults(out_dir="runs/sweep")
+    for name in _GRID:
+        sp.add_argument(f"--{name.replace('_', '-')}-grid", help="comma-separated values")
+    sp.add_argument("--threshold", type=float, default=1e-3,
+                    help="grad_phi_sq level for iterations-to-threshold")
+
+
+def _counterexample_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--x0", type=float, required=True)
+    sp.add_argument("--K", type=int, default=1000)
+    sp.add_argument("--K-escape", type=int, default=None,
+                    help="horizon for the d-adast run (defaults to --K)")
+    sp.add_argument("--gamma-x", type=float, default=1.0)
+    sp.add_argument("--gamma-y", type=float, default=1.0)
+    sp.add_argument("--out", default=None, help="also write the JSON report here")
+
+
+def _spectral_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--topology", required=True, help=_TOPOLOGIES)
+    sp.add_argument("--n", type=int, required=True)
+
+
+def _run_config_from_args(args, cell: str = "", **grid) -> RunConfig:
+    """The run that ``args`` describe, written to ``--out-dir`` or its
+    subdirectory ``cell``; ``grid`` overrides fields of every AlgoConfig."""
+    if not args.out_dir:
+        raise ConfigError("--out-dir must name a directory, got ''")
+    algo = dict(gamma_x=args.gamma_x, gamma_y=args.gamma_y, alpha=args.alpha, beta=args.beta,
+                c0=args.c0, K=args.K, stepsize_source=args.stepsize_source) | grid
     return RunConfig(
         experiment=args.experiment,
-        algo_configs=_algo_configs_from_args(args),
+        algo_configs=[AlgoConfig(algo=name, **algo) for name in _csv_list(args.algos)],
         topology=_graph_spec(args.topology, args.n) if args.topology else None,
         noise=_noise_from_args(args),
         seed=args.seed,
         trace_stride=args.trace_stride,
-        out_dir=Path(args.out_dir) if args.out_dir else None,
+        out_dir=Path(args.out_dir, cell),
         init_x=args.init_x,
         init_y=args.init_y,
         init_spread=args.init_spread,
@@ -169,12 +192,8 @@ def _run_config_from_args(args) -> RunConfig:
     )
 
 
-def cmd_run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="adast run")
-    _add_run_flags(parser)
-    args = _apply_config_file(parser, argv)
-    cfg = _run_config_from_args(args)
-    result = run_experiment(cfg)
+def cmd_run(args) -> int:
+    result = run_experiment(_run_config_from_args(args))
     print(json.dumps({
         "out_dir": str(result.out_dir),
         "rho_w": result.manifest["rho_w"],
@@ -184,18 +203,7 @@ def cmd_run(argv: list[str]) -> int:
     return 3 if result.any_aborted else 0
 
 
-def cmd_counterexample(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="adast counterexample")
-    parser.add_argument("--alpha", type=float, required=True)
-    parser.add_argument("--beta", type=float, required=True)
-    parser.add_argument("--x0", type=float, required=True)
-    parser.add_argument("--K", type=int, default=1000)
-    parser.add_argument("--K-escape", type=int, default=None,
-                        help="horizon for the d-adast run (defaults to --K)")
-    parser.add_argument("--gamma-x", type=float, default=1.0)
-    parser.add_argument("--gamma-y", type=float, default=1.0)
-    parser.add_argument("--out", default=None, help="also write the JSON report here")
-    args = parser.parse_args(argv)
+def cmd_counterexample(args) -> int:
     report = counterexample_report(
         args.alpha, args.beta, args.x0, args.K,
         gamma_x=args.gamma_x, gamma_y=args.gamma_y,
@@ -209,57 +217,38 @@ def cmd_counterexample(argv: list[str]) -> int:
     return 3 if aborted else 0
 
 
-def cmd_sweep(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="adast sweep")
-    _add_run_flags(parser)
-    parser.add_argument("--gamma-x-grid", default=None, help="comma-separated values")
-    parser.add_argument("--gamma-y-grid", default=None)
-    parser.add_argument("--alpha-grid", default=None)
-    parser.add_argument("--beta-grid", default=None)
-    parser.add_argument("--threshold", type=float, default=1e-3,
-                        help="grad_phi_sq level for iterations-to-threshold")
-    args = _apply_config_file(parser, argv)
-
-    gx_grid = _csv_floats(args.gamma_x_grid) if args.gamma_x_grid else [args.gamma_x]
-    gy_grid = _csv_floats(args.gamma_y_grid) if args.gamma_y_grid else [args.gamma_y]
-    al_grid = _csv_floats(args.alpha_grid) if args.alpha_grid else [args.alpha]
-    be_grid = _csv_floats(args.beta_grid) if args.beta_grid else [args.beta]
-
+def cmd_sweep(args) -> int:
+    grids = [_csv_floats(grid) if (grid := getattr(args, f"{name}_grid")) else
+             [getattr(args, name)] for name in _GRID]
+    # every cell's config and start are checked, and each distinct problem
+    # built once, before any cell runs or writes; the cells' results are not kept
+    cells = [(cell, _run_config_from_args(args, "gx{}_gy{}_a{}_b{}".format(*cell),
+                                          **dict(zip(_GRID, cell))))
+             for cell in product(*grids)]
+    problems: dict = {}
+    for _, cfg in cells:
+        start_for(cfg, problem_for(cfg, problems))
     rows = ["gamma_x,gamma_y,alpha,beta,algo,final_grad_phi_sq,final_zeta_v_sup,"
             "iters_to_threshold,aborted"]
     any_abort = False
-    base_out = Path(args.out_dir) if args.out_dir else Path("runs/sweep")
-    # every cell's config and start are checked, and each distinct problem
-    # built once, before any cell runs or writes; the cells' results are not kept
-    cells, problems = [], {}
-    for gx, gy, al, be in product(gx_grid, gy_grid, al_grid, be_grid):
-        args.gamma_x, args.gamma_y, args.alpha, args.beta = gx, gy, al, be
-        args.out_dir = base_out / f"gx{gx}_gy{gy}_a{al}_b{be}"
-        cells.append(((gx, gy, al, be), _run_config_from_args(args)))
-    for _, cfg in cells:
-        start_for(cfg, problem_for(cfg, problems))
-    for (gx, gy, al, be), cfg in cells:
+    for cell, cfg in cells:
         for label, trace in run_experiment(cfg, problems).traces.items():
             any_abort = any_abort or trace.aborted
             hits = np.flatnonzero(trace.grad_phi_sq <= args.threshold)
             hit = trace.k[hits[0]] if hits.size else -1
             rows.append(
-                f"{gx},{gy},{al},{be},{label},"
+                f"{','.join(map(str, cell))},{label},"
                 f"{trace.grad_phi_sq[-1].item():.17g},"
                 f"{trace.zeta_v_sup[-1].item():.17g},{hit},{int(trace.aborted)}"
             )
+    base_out = Path(args.out_dir)
     base_out.mkdir(parents=True, exist_ok=True)
     (base_out / "sweep.csv").write_text("\n".join(rows) + "\n")
     print(str(base_out / "sweep.csv"))
     return 3 if any_abort else 0
 
 
-def cmd_spectral(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="adast spectral")
-    parser.add_argument("--topology", required=True,
-                        help="ring | directed-ring | exponential | dense | complete")
-    parser.add_argument("--n", type=int, required=True)
-    args = parser.parse_args(argv)
+def cmd_spectral(args) -> int:
     spec = _graph_spec(args.topology, args.n)
     wm = weights_for(spec)
     print(json.dumps({
@@ -274,26 +263,24 @@ def cmd_spectral(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = argparse.ArgumentParser(
-        prog="adast",
-        description="decentralized adaptive minimax simulator",
-    )
-    parser.add_argument("command", choices=("run", "counterexample", "sweep", "spectral"))
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
-    command, rest = argv[0], argv[1:]
-    handlers = {
-        "run": cmd_run,
-        "counterexample": cmd_counterexample,
-        "sweep": cmd_sweep,
-        "spectral": cmd_spectral,
+    # subcommand -> (its flags, its handler); built at each call, so that a
+    # handler replaced on the module since import is the one called
+    commands = {
+        "run": (_run_flags, cmd_run),
+        "counterexample": (_counterexample_flags, cmd_counterexample),
+        "sweep": (_sweep_flags, cmd_sweep),
+        "spectral": (_spectral_flags, cmd_spectral),
     }
-    if command not in handlers:
-        print(f"error: unknown command {command!r}", file=sys.stderr)
+    if not argv or argv[0] not in commands:
+        print(f"usage: adast {{{','.join(commands)}}} ...", file=sys.stderr)
+        if argv:
+            print(f"error: unknown command {argv[0]!r}", file=sys.stderr)
         return 2
+    add_flags, handler = commands[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"adast {argv[0]}")
+    add_flags(parser)
     try:
-        return handlers[command](rest)
+        return handler(_apply_config_file(parser, argv[1:]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .errors import ConfigError
 __all__ = [
     "QuadraticMinimaxProblem",
     "NoiseModel",
+    "NOISE_KINDS",
     "ProjectionSet",
     "ALL",
     "GradientStream",
@@ -42,6 +43,7 @@ __all__ = [
 
 X_AXIS = 0
 Y_AXIS = 1
+NOISE_KINDS = ("none", "gaussian", "gaussian-clipped")
 
 
 def _as_stack(M: Any, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -264,12 +266,12 @@ def require_finite(**values: float | None) -> None:
 class NoiseModel:
     """Additive gradient noise: none, Gaussian, or norm-clipped Gaussian."""
 
-    kind: str = "none"  # none | gaussian | gaussian-clipped
+    kind: str = "none"  # one of NOISE_KINDS
     sigma: float = 0.0
     clip: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian", "gaussian-clipped"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         require_finite(sigma=self.sigma, clip=self.clip)
         if self.kind != "none" and self.sigma <= 0:

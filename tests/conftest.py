@@ -95,28 +95,89 @@ def node_sample(problem: QuadraticMinimaxProblem, i: int, x, y, noise, stream, k
 # every sum over neighbours and over nodes is an explicit loop, and gossip
 # is the plain weighted sum, not the mean-centered form.
 
-def _gossip(W: np.ndarray, vals: list) -> list:
-    """Node i's sum of W[i, j] * vals[j] over its in-neighbours j."""
-    return [sum(w * v for w, v in zip(row, vals) if w != 0.0) for row in W.tolist()]
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+# A value a step computes is at the overflow boundary within this
+# factor of the largest double: a form that sums or scales in another
+# order (the mean-centered gossip sums n values first) may overflow there.
+_NEAR_OVERFLOW = np.finfo(float).max / 2**8
+
+
+def reference_weights(n: int, edges) -> np.ndarray:
+    """W of the custom graph in which node i receives from node j for each
+    edge (i, j), self-loops and repeats dropped, by README's weight rules:
+    when every edge has its reverse, Metropolis weights 1 / (1 + max(deg_i,
+    deg_j)) on the edges and 1 - row sum on the diagonal; otherwise
+    1 / (d + 1) on each in-neighbour and on the node itself, d being every
+    node's one in- and out-degree."""
+    nbrs = [sorted({j for a, j in edges if a == i and j != i}) for i in range(n)]
+    W = np.zeros((n, n))
+    undirected = all(i in nbrs[j] for i in range(n) for j in nbrs[i])
+    for i in range(n):
+        for j in nbrs[i]:
+            W[i, j] = (1.0 / (1 + max(len(nbrs[i]), len(nbrs[j]))) if undirected
+                       else 1.0 / (len(nbrs[i]) + 1))
+        W[i, i] = 1.0 - sum(W[i]) if undirected else 1.0 / (len(nbrs[i]) + 1)
+    return W
+
+
+def _gossip(rows: list, vals: list) -> list:
+    """Node i's sum of W[i, j] * vals[j] over its in-neighbours j, given
+    as ``rows[i]``, the pairs (j, W[i, j]) with W[i, j] != 0."""
+    return [sum(w * vals[j] for j, w in row) for row in rows]
+
+
+def _project(pset, y: np.ndarray) -> np.ndarray:
+    """y's Euclidean projection onto the box [lo, hi] or the ball of radius
+    r about c: the nearest point of the set; everything else leaves y."""
+    if pset.kind == "box":
+        return np.minimum(np.maximum(y, pset.lo), pset.hi)
+    if pset.kind == "ball":
+        dev = y - pset.center
+        norm = np.sqrt(dev @ dev)
+        return pset.center + dev * (pset.radius / norm) if norm > pset.radius else y
+    return y
 
 
 def _zeta(v: list, expo: float, coord: bool) -> float:
     """Stepsize inconsistency of the denominators v (one array per node):
     the largest (v_i^-a - vbar^-a)^2 / vbar^-2a over nodes for scalars, the
-    mean of that ratio over every entry for coordinate-wise ones; 0 when
-    every denominator is equal."""
+    mean of that ratio over every entry for coordinate-wise ones; NaN when
+    vbar^-2a underflows, where the quotient is rounding over 0 and forms
+    that round otherwise may even disagree on whether every denominator
+    is equal; else 0 when every denominator is equal."""
     flat = np.concatenate(v)
+    ref = flat.mean() ** -expo
+    if ref ** 2 < _TINY:
+        return np.nan
     if flat.min() == flat.max():
         return 0.0
-    ref = flat.mean() ** -expo
     dev = np.concatenate([(vi ** -expo - ref) ** 2 / ref ** 2 for vi in v])
     return float(dev.mean() if coord else dev.max())
+
+
+def _consensus(v: list) -> float:
+    """Sum over nodes of the squared deviation from the node mean, taken on
+    the values less node 0's (README), so nodes that agree give 0."""
+    shifted = [vi - v[0] for vi in v]
+    mean = sum(shifted) / len(v)
+    return sum((si - mean) @ (si - mean) for si in shifted)
+
+
+def _first_nonfinite(fields: dict):
+    """(node, name) of the first field, in the order given, holding a
+    non-finite entry, and its first such node; None when all are finite."""
+    for name, vals in fields.items():
+        for node, v in enumerate(vals):
+            if not np.isfinite(v).all():
+                return node, name
+    return None
 
 
 def reference_run(problem: QuadraticMinimaxProblem, W: np.ndarray, cfg, noise, X0, Y0,
                   seed: int) -> dict:
     """``run(problem, W, cfg, noise, x0=X0, y0=Y0, seed=seed)`` for every
-    method without projection, recorded at every iteration 0..K.
+    method, recorded at every iteration 0..K.
 
     Per iteration each node i samples (g_x, g_y) at its iterates and adds
     the squares (||g||^2 per node, g*g per coordinate for d-adast-coord) to
@@ -127,19 +188,35 @@ def reference_run(problem: QuadraticMinimaxProblem, W: np.ndarray, cfg, noise, X
     psi = m_x^alpha / max(m_x^alpha, m_y^alpha) from the accumulator norms
     raised to 2 alpha for the coordinate-wise variant; every adaptive
     method steps y by gamma_y * m_y^-beta.  Then x_i - s_x g_x and y_i +
-    s_y g_y are gossiped, and so are the accumulators of the tracked
-    methods with ``stepsize_source="local"``.  The applied denominators v
-    are max(m_x, m_y) (entrywise for d-adast-coord when p == d, else m_x)
-    and u = m_y.
+    s_y g_y are gossiped, each y_i is projected onto ``cfg.projection``,
+    and the accumulators of the tracked methods with
+    ``stepsize_source="local"`` are gossiped too.  The applied denominators
+    v are max(m_x, m_y) (entrywise for d-adast-coord when p == d, else
+    m_x) and u = m_y.  grad_phi_sq is NaN under a constrained dual domain.
 
-    Returns the final ``X``, ``Y``, ``Mx`` and ``My`` as (n, .) arrays and,
+    A step that leaves a value that is not finite ends the run, and no
+    record is taken at it.  The abort names the step k and the first field
+    with a non-finite entry, and its first such node, among the values
+    before gossip (X, Y, and Mx, My for the tracked methods) and, when
+    those are all finite, among the state after the step (X, Y, Mx, My).
+    A step is at the overflow boundary when it computes a NaN (an
+    operation on an overflowed value, whose outcome depends on the form
+    evaluated) or a finite value above ``_NEAR_OVERFLOW`` (which another
+    form may overflow); from there on, whether and where a run aborts
+    turns on rounding.
+
+    Returns the final ``X``, ``Y``, ``Mx`` and ``My`` as (n, .) arrays;
     keyed by its name, each record column of the trace with one row per
-    iteration 0..K."""
+    iteration up to the abort or K; ``abort``, the (k, node, field) of the
+    abort or None; and ``boundary``, the first step k at the overflow
+    boundary or None."""
     n, p, K = problem.n, problem.p, cfg.K
     algo, ax, by = cfg.algo, cfg.alpha, cfg.beta
     tracked = algo in ("d-adast", "d-adast-coord")
     coord = algo == "d-adast-coord"
+    constrained = cfg.projection.kind != "all"
     stream = GradientStream(seed)
+    rows = [[(j, w) for j, w in enumerate(row) if w != 0.0] for row in W.tolist()]
     x = [np.array(X0[i], dtype=float) for i in range(n)]
     y = [np.array(Y0[i], dtype=float) for i in range(n)]
     mx = [np.full(p if coord else 1, cfg.c0) for _ in range(n)]
@@ -150,54 +227,75 @@ def reference_run(problem: QuadraticMinimaxProblem, W: np.ndarray, cfg, noise, X
                                   "avg_m_y", "grad_phi_sq", "grad_xf_sq", "zeta_v_inst",
                                   "zeta_u_inst", "zeta_v_hat_inst")}
     zeta = (0.0, 0.0, 0.0)
+    abort = boundary = None
 
     def record():
         xbar, ybar = sum(x) / n, sum(y) / n
         ystar = np.linalg.solve(Bbar, Abar.T @ xbar + cbar)
         gphi = Abar @ ystar - Cbar @ xbar + bbar
         gx = sum(local_grads(problem, i, xbar, ybar)[0] for i in range(n)) / n
-        values = (xbar, ybar, sum((xi - xbar) @ (xi - xbar) for xi in x),
-                  sum((yi - ybar) @ (yi - ybar) for yi in y),
+        values = (xbar, ybar, _consensus(x), _consensus(y),
                   sum(m.mean() for m in mx) / n, sum(m.mean() for m in my) / n,
-                  gphi @ gphi, gx @ gx, *zeta)
+                  np.nan if constrained else gphi @ gphi, gx @ gx, *zeta)
         for name, value in zip(cols, values):
             cols[name].append(value)
 
-    record()
-    for k in range(K):
-        g = [node_sample(problem, i, x[i], y[i], noise, stream, k) for i in range(n)]
-        if algo != "d-sgda":
-            sq = (lambda v: v * v) if coord else (lambda v: np.array([v @ v]))
-            mx = [mx[i] + sq(g[i][0]) for i in range(n)]
-            my = [my[i] + sq(g[i][1]) for i in range(n)]
-            if tracked and cfg.stepsize_source == "mixed":
-                mx, my = _gossip(W, mx), _gossip(W, my)
-        sx, sy, v = [], [], []
-        for i in range(n):
-            if algo == "d-sgda":
-                sx.append(cfg.gamma_x)
-                sy.append(cfg.gamma_y)
-                continue
-            if algo == "d-tiada":
-                sx.append(cfg.gamma_x * np.maximum(mx[i], my[i]) ** -ax)
-            else:
-                px, py = ((mx[i] @ mx[i]) ** ax, (my[i] @ my[i]) ** ax) if coord else (
-                    mx[i] ** ax, my[i] ** ax)
-                psi = px / max(px, py) if max(px, py) > 0 else 1.0
-                sx.append(cfg.gamma_x * psi * mx[i] ** -ax)
-            sy.append(cfg.gamma_y * my[i] ** -by)
-            v.append(np.maximum(mx[i], my[i]) if not coord or p == problem.d else mx[i])
-        if algo != "d-sgda":
-            hat = 0.0
-            if coord:  # each node's entries against its own mean, scaled by the network mean
-                ref = np.concatenate(v).mean() ** -ax
-                hat = sum(((vi ** -ax - vi.mean() ** -ax) ** 2).sum() for vi in v) / (
-                    n * p * ref ** 2)
-            zeta = (_zeta(v, ax, coord), _zeta(my, by, coord), hat)
-        x = _gossip(W, [x[i] - sx[i] * g[i][0] for i in range(n)])
-        y = _gossip(W, [y[i] + sy[i] * g[i][1] for i in range(n)])
-        if tracked and cfg.stepsize_source == "local":
-            mx, my = _gossip(W, mx), _gossip(W, my)
+    with np.errstate(all="ignore"):
         record()
+        for k in range(K):
+            g = [node_sample(problem, i, x[i], y[i], noise, stream, k) for i in range(n)]
+            pre = {}
+            if algo != "d-sgda":
+                sq = (lambda v: v * v) if coord else (lambda v: np.array([v @ v]))
+                mx = [mx[i] + sq(g[i][0]) for i in range(n)]
+                my = [my[i] + sq(g[i][1]) for i in range(n)]
+                pre = {"Mx": mx, "My": my} if tracked else {}
+                if tracked and cfg.stepsize_source == "mixed":
+                    mx, my = _gossip(rows, mx), _gossip(rows, my)
+            sx, sy, v = [], [], []
+            for i in range(n):
+                if algo == "d-sgda":
+                    sx.append(cfg.gamma_x)
+                    sy.append(cfg.gamma_y)
+                    continue
+                if algo == "d-tiada":
+                    sx.append(cfg.gamma_x * np.maximum(mx[i], my[i]) ** -ax)
+                else:
+                    px, py = ((mx[i] @ mx[i]) ** ax, (my[i] @ my[i]) ** ax) if coord else (
+                        mx[i] ** ax, my[i] ** ax)
+                    psi = px / max(px, py) if max(px, py) > 0 else 1.0
+                    sx.append(cfg.gamma_x * psi * mx[i] ** -ax)
+                sy.append(cfg.gamma_y * my[i] ** -by)
+                v.append(np.maximum(mx[i], my[i]) if not coord or p == problem.d else mx[i])
+            if algo != "d-sgda":
+                hat = 0.0
+                if coord:  # each node's entries against its own mean, scaled by the network mean
+                    ref = np.concatenate(v).mean() ** -ax
+                    hat = np.nan if ref ** 2 < _TINY else sum(
+                        ((vi ** -ax - vi.mean() ** -ax) ** 2).sum() for vi in v) / (
+                        n * p * ref ** 2)
+                zeta = (_zeta(v, ax, coord), _zeta(my, by, coord), hat)
+            pre = {"X": [x[i] - sx[i] * g[i][0] for i in range(n)],
+                   "Y": [y[i] + sy[i] * g[i][1] for i in range(n)], **pre}
+            x = _gossip(rows, pre["X"])
+            y = [_project(cfg.projection, yi) for yi in _gossip(rows, pre["Y"])]
+            if tracked and cfg.stepsize_source == "local":
+                mx, my = _gossip(rows, mx), _gossip(rows, my)
+            # the values the step computed up to the fields where the abort is found
+            seen = [[gi[0] for gi in g], [gi[1] for gi in g], sx, sy, *pre.values()]
+            found = _first_nonfinite(pre)
+            if not found:
+                post = {"X": x, "Y": y, "Mx": mx, "My": my}
+                found = _first_nonfinite(post)
+                seen += post.values()
+            if boundary is None:
+                step = np.concatenate([np.ravel(part) for part in seen])  # a field's nodes alike
+                if np.isnan(step).any() or (np.abs(step[np.isfinite(step)]) > _NEAR_OVERFLOW).any():
+                    boundary = k + 1
+            if found:
+                abort = (k + 1, *found)
+                break
+            record()
     out = {"X": np.array(x), "Y": np.array(y), "Mx": np.array(mx), "My": np.array(my)}
-    return {**out, **{name: np.array(c) for name, c in cols.items()}}
+    return {**out, **{name: np.array(c) for name, c in cols.items()}, "abort": abort,
+            "boundary": boundary}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adast import harness
+from adast import cli, harness
 from adast.algorithms import AlgoConfig, Trace
 from adast.cli import main as cli_main
 from adast.errors import ConfigError
@@ -819,6 +819,40 @@ def test_cli_sweep_empty_grid(tmp_path):
     assert rc == 2
 
 
-def test_cli_unknown_command():
+def test_cli_unknown_command(capsys):
     assert cli_main(["fly"]) == 2
+    assert "unknown command 'fly'" in capsys.readouterr().err
     assert cli_main([]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: adast") and "{run,counterexample,sweep,spectral}" in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--gamma-x-grid", "0.1,0.2"]])
+def test_cli_empty_out_dir_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a method ran"))
+    rc = cli_main([*command, "--experiment", "case-study", "--K", "10", "--out-dir", ""])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("config error:") and "--out-dir" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+def test_cli_default_out_dirs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--experiment", "case-study", "--algos", "d-adast", "--K", "10"]
+    assert cli_main(["sweep", *flags, "--gamma-x-grid", "0.1,0.2"]) == 0
+    assert capsys.readouterr().out.strip() == str(Path("runs/sweep/sweep.csv"))
+    assert (tmp_path / "runs/sweep/sweep.csv").is_file()
+    assert not (tmp_path / "runs/latest").exists()
+    assert cli_main(["run", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["out_dir"] == str(Path("runs/latest"))
+    assert (tmp_path / "runs/latest/manifest.json").is_file()
+
+
+def test_cli_main_dispatches_through_the_module_handlers(monkeypatch):
+    # a tracer that replaces cli.cmd_* after import must see the call
+    calls = []
+    monkeypatch.setattr(cli, "cmd_spectral", lambda args: calls.append(args) or 7)
+    assert cli_main(["spectral", "--topology", "ring", "--n", "4"]) == 7
+    assert [(args.topology, args.n) for args in calls] == [("ring", 4)]

@@ -21,8 +21,11 @@ with Gaussian noise and one with exact gradients and post-mix stepsizes
 custom sweep on a 60-node ring, a counterexample exponent sweep and a
 noisy synthetic sweep on 16 nodes over a primal-stepsize and an exponent
 grid, each with its ``sweep.csv`` (the cells of a sweep share one
-problem instance per key, so these check that sharing); three ``adast
-counterexample`` reports, the third with a d-adast horizon
+problem instance per key, so these check that sharing); one ``run`` and
+one ``sweep`` whose flags come from a ``--config`` file written into
+OUT_DIR, each with one of the file's values overridden by an explicit
+flag (the primal stepsize, and the sweep's primal-stepsize grid); three
+``adast counterexample`` reports, the third with a d-adast horizon
 (``--K-escape``) and a primal stepsize of its own; and seven ``adast
 spectral`` lines: one per graph kind the command line can build, a
 1600-node ring and a 400-node dense graph.  The rings' constants come from
@@ -94,8 +97,17 @@ def write_set(src: Path, out: Path) -> None:
     wide_json.write_text(json.dumps(ring_problem(60, 3, 2, seed=6)))
     ring256_json = out / "ring-problem-256.json"
     ring256_json.write_text(json.dumps(ring_problem(256, 2, 2, seed=8)))
-    # the counterexample's start flag was --ce-x0 before it became --init-x
-    x0_flag = "--ce-x0" if "--ce-x0" in _adast(src, ["run", "--help"]) else "--init-x"
+    # a config file seeds run and sweep flags; an explicit flag overrides one of its values
+    run_config = out / "run.conf"
+    run_config.write_text("# a noisy synthetic run, every value through its flag\n"
+                          "experiment = synthetic\nn = 8\nseed = 2\nK = 1500\n"
+                          "algos = 'd-tiada,d-adast'\nnoise = gaussian-clipped\nsigma = 1\n"
+                          "clip = 0.5\ngamma_x = 0.05\ntrace_stride = 10\n")
+    sweep_config = out / "sweep.conf"
+    sweep_config.write_text("experiment = synthetic\nn = 6\nseed = 4\nK = 3000\n"
+                            "algos = d-sgda,d-adast-coord\nstepsize-source = mixed\n"
+                            "gamma_x_grid = 0.05,0.1\nalpha_grid = 0.6,0.7  # two exponents\n"
+                            "trace_stride = 25\nthreshold = 1e-4\n")
     ce = ["--experiment", "counterexample", "--alpha", "0.75", "--beta", "0.25",
           "--K", "20000", "--trace-stride", "3"]
     synthetic = ["--experiment", "synthetic", "--n", "50", "--seed", "3", "--K", "10000"]
@@ -113,7 +125,7 @@ def write_set(src: Path, out: Path) -> None:
         "case-study-twice": ["run", "--experiment", "case-study", "--K", "2000",
                              "--algos", "d-adast,d-adast", "--trace-stride", "10"],
         "counterexample": ["run", *ce],
-        "counterexample-x0-minus-3": ["run", *ce, x0_flag, "-3"],
+        "counterexample-x0-minus-3": ["run", *ce, "--init-x", "-3"],
         # an experiment's defaults on one side and overrides on the other
         "counterexample-ring": ["run", "--experiment", "counterexample", "--topology", "ring",
                                 "--n", "3", "--K", "2000", "--trace-stride", "10"],
@@ -148,6 +160,8 @@ def write_set(src: Path, out: Path) -> None:
                             "--algos", "d-tiada,d-adast,d-adast-coord", "--K", "2000",
                             "--gamma-x-grid", "0.02,0.05", "--alpha-grid", "0.6,0.75",
                             "--trace-stride", "20"],
+        "config-run": ["run", "--config", str(run_config), "--gamma-x", "0.02"],
+        "config-sweep": ["sweep", "--config", str(sweep_config), "--gamma-x-grid", "0.02,0.05"],
     }
     for name, argv in runs.items():
         _adast(src, [*argv, "--out-dir", str(out / name)])
