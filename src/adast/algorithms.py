@@ -29,10 +29,16 @@ rounding level, so D-TiAda is D-AdaST without the accumulator columns in
 the mix.  The coordinate-wise variant keeps psi, built from accumulator
 norms.
 
-Mixing uses the mean-centered form  mean + W @ (v - mean), identical to
-W @ v in exact arithmetic for a row-stochastic W but mass-conserving to
-roughly eps * consensus-error instead of eps * magnitude, which is what
-keeps the tracking-average identity tight over 1e5 iterations.
+A round that carries accumulators (post-mix tracking's [Mx | My] round,
+and pre-mix tracking's single block) uses the mean-centered form
+mean + W @ (v - mean), identical to W @ v in exact arithmetic for a
+row-stochastic W but mass-conserving to roughly eps * consensus-error
+instead of eps * magnitude, which is what keeps the tracking-average
+identity tight over 1e5 iterations.  A round of iterates alone (the
+[X | Y] block of d-sgda, d-tiada and post-mix tracking) takes the plain
+product W @ v: no identity rests on the iterates' node mean, and the
+plain product costs about half the centered form on a 400-node ring.  A
+plain round spreads one node's inf as inf, a centered one as NaN.
 """
 
 from __future__ import annotations
@@ -235,10 +241,23 @@ class Trace:
         return [SimpleNamespace(**dict(zip(names, row))) for row in zip(*cols)]
 
 
-def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One gossip round in the mean-centered form (see module docstring).
+def mix(W: np.ndarray, V: np.ndarray, out: np.ndarray | None = None, *,
+        centered: bool = True) -> np.ndarray:
+    """One gossip round: ``W @ V`` in the mean-centered form, or as the plain
+    product with ``centered=False`` (see module docstring).
 
-    W is a dense matrix or a ``csr_array``; only ``W @`` is used."""
+    W is a dense matrix or a ``csr_array``; only ``W @`` is used.  The
+    stepper centers the rounds that carry accumulators, whose node mean
+    must track the running mean of squared gradients; a round of iterates
+    alone conserves nothing the method reads, so it takes the plain
+    product, about half the time of the centered form."""
+    if not centered:
+        if isinstance(W, np.ndarray):
+            return np.matmul(W, V, out=out)
+        if out is None:
+            return W @ V
+        out[...] = W @ V
+        return out
     m = _column_sums(V)
     m /= len(V)
     return np.add(m, W @ (V - m), out=out)
@@ -323,7 +342,7 @@ class _Stepper:
     """
 
     __slots__ = ("Z", "p", "q", "W", "coord", "adaptive", "pre_mix", "post_mix", "split", "S",
-                 "projection", "row_norms", "sides", "alpha", "coef", "neg_expo", "psi", "sq",
+                 "projection", "row_norms", "sides", "alpha", "coef", "neg_expo", "psi",
                  "XY", "M", "Y", "B_XY", "B_M", "B", "mix_in", "mix_out", "M_read", "mx", "my")
 
     def __init__(self, state: RunState, W: np.ndarray, cfg: AlgoConfig):
@@ -333,10 +352,15 @@ class _Stepper:
         self.Z, self.p, self.q = state.Z, p, M.shape[1]
         # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
-        # dense / CSR, 2-core box, 2 columns: ring (k = 3) n = 128 18 / 21,
-        # n = 200 24 / 21, n = 400 62 / 33 (122 / 45 at 8 columns), n = 1600
-        # 1813 / 99; exponential n = 400 (k = 10) 57 / 46, n = 1024 (k = 11)
-        # 745 / 85; dense n = 400 (k = 201) 56 / 317.
+        # dense / CSR, plain and centered at 2 columns (2-core box, best of
+        # 21 alternating repeats): ring (k = 3) n = 128 3.7 / 5.9 and
+        # 11.4 / 13.0, n = 400 25 / 8.4 and 36 / 20; exponential n = 400
+        # (k = 10) 25 / 13 and 39 / 25, n = 1024 (k = 11) 510 / 35 and
+        # 542 / 55; dense n = 400 (k = 201) 29 / 239 and 40 / 243.  At 8
+        # columns the same graphs order the same way.  CSR wins on the
+        # 400-node exponential graph (n / k = 40) and loses on the 128-node
+        # ring (n / k = 43), so no bound on n / k takes the one without the
+        # other.
         k = int(np.count_nonzero(W, axis=1).max())
         self.W = csr_array(W) if k * 64 < n else W
         self.coord = state.coord
@@ -356,7 +380,6 @@ class _Stepper:
             -np.repeat([cfg.alpha, cfg.beta], self.sides if self.coord else (1, 1)), (n, 1))
         self.psi = np.ones((n, a))  # coordinate-wise psi on the x columns, 1 on the y columns
         self.S = np.empty((n, a))  # signed stepsize of every iterate entry
-        self.sq = np.empty_like(M) if self.coord else None  # squared coordinate-wise accumulators
         B = np.empty_like(self.Z)  # the pre-mix buffer
         self.XY, self.M, self.Y = XY, M, XY[:, p:]
         self.B_XY, self.B_M = _blocks(B, n, a, self.split)
@@ -395,7 +418,7 @@ class _Stepper:
         else:
             np.multiply(G, self.coef, out=self.S)
         np.add(self.XY, self.S, out=self.B_XY)
-        mix(self.W, self.mix_in, out=self.mix_out)
+        mix(self.W, self.mix_in, out=self.mix_out, centered=self.pre_mix)
         if self.projection is not None:
             self.Y[...] = project(self.projection, self.Y)
 
@@ -409,15 +432,15 @@ class _Stepper:
 
     def _coord_stepsizes(self, D: np.ndarray) -> None:
         mx, my, (p, d) = self.mx, self.my, self.sides
-        # row norms as np.linalg.norm computes them, without its dispatch;
-        # with p == d both sides in one multiply and one reduction
+        # ||m||^(2 alpha) = (m @ m)^alpha per node and side; with p == d
+        # both sides in one einsum
         if p == d:
-            sq = np.multiply(self.M_read, self.M_read, out=self.sq)
-            norms = np.add.reduce(sq.reshape(len(sq), 2, p), axis=2)
+            M3 = self.M_read.reshape(len(mx), 2, p)
+            norms = np.einsum("nsp,nsp->ns", M3, M3) ** self.alpha
+            nx, ny = norms[:, 0], norms[:, 1]
         else:
-            norms = np.stack([np.add.reduce(mx * mx, axis=1), np.add.reduce(my * my, axis=1)], 1)
-        norms = np.sqrt(norms, out=norms) ** (2 * self.alpha)
-        self.psi[:, :p] = _psi(norms[:, 0], norms[:, 1])[:, None]
+            nx, ny = (np.einsum("np,np->n", m, m) ** self.alpha for m in (mx, my))
+        self.psi[:, :p] = _psi(nx, ny)[:, None]
         np.multiply(self.coef, self.psi, out=self.S)
         self.S *= _neg_pow(self.M_read, self.neg_expo)
         D[:] = self.M_read

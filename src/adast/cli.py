@@ -263,21 +263,31 @@ def cmd_spectral(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # subcommand -> (its flags, its handler); built at each call, so that a
-    # handler replaced on the module since import is the one called
+    # subcommand -> (its flags, its handler, its one-line help); built at
+    # each call, so that a handler replaced on the module since import is
+    # the one called
     commands = {
-        "run": (_run_flags, cmd_run),
-        "counterexample": (_counterexample_flags, cmd_counterexample),
-        "sweep": (_sweep_flags, cmd_sweep),
-        "spectral": (_spectral_flags, cmd_spectral),
+        "run": (_run_flags, cmd_run, "execute one experiment into --out-dir"),
+        "counterexample": (_counterexample_flags, cmd_counterexample,
+                           "invariance report of d-tiada against d-adast as JSON"),
+        "sweep": (_sweep_flags, cmd_sweep,
+                  "grid over stepsizes or exponents, one summary row per cell"),
+        "spectral": (_spectral_flags, cmd_spectral,
+                     "connectivity constants and stochasticity report of a topology"),
     }
+    usage = f"usage: adast {{{','.join(commands)}}} ..."
+    if argv[:1] in (["-h"], ["--help"]):
+        print(usage)
+        for name, (*_, text) in commands.items():
+            print(f"  {name:<16}{text}")
+        return 0
     if not argv or argv[0] not in commands:
-        print(f"usage: adast {{{','.join(commands)}}} ...", file=sys.stderr)
+        print(usage, file=sys.stderr)
         if argv:
             print(f"error: unknown command {argv[0]!r}", file=sys.stderr)
         return 2
-    add_flags, handler = commands[argv[0]]
-    parser = argparse.ArgumentParser(prog=f"adast {argv[0]}")
+    add_flags, handler, text = commands[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"adast {argv[0]}", description=text)
     add_flags(parser)
     try:
         return handler(_apply_config_file(parser, argv[1:]))

@@ -9,8 +9,10 @@ accumulators the per-iteration value is
     max_i (v_i^{-a} - vbar^{-a})^2 / (vbar^{-a})^2,   vbar = mean_i v_i,
 
 and for coordinate-wise accumulators the normalized Frobenius form over
-the flattened mean is used.  Running suprema are maintained by the run
-recorder, not here.
+the flattened mean is used.  Where (vbar^{-a})^2 underflows (vbar past
+about 1e220 at a = 0.7) the quotient would be rounding over 0, so those
+rows take the equal ratio form ((v_i / vbar)^{-a} - 1)^2.  Running suprema
+are maintained by the run recorder, not here.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "zeta_hat_series",
 ]
 
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 # The leading trace CSV columns: the iteration, then the record metrics.
 TRACE_HEADER = [
@@ -93,9 +97,15 @@ def zeta_series(v_store: np.ndarray, expo: float, v_pow: np.ndarray | None = Non
     """
     V = np.asarray(v_store, dtype=float)
     flat_axes = tuple(range(1, V.ndim))
-    vbar_pow = V.mean(axis=flat_axes) ** (-expo)
-    dev = (V ** (-expo) if v_pow is None else v_pow) - vbar_pow.reshape((-1,) + (1,) * (V.ndim - 1))
+    column = (-1,) + (1,) * (V.ndim - 1)  # a per-row (K,) vector against V
+    vbar = V.mean(axis=flat_axes)
+    vbar_pow = vbar ** (-expo)
+    dev = (V ** (-expo) if v_pow is None else v_pow) - vbar_pow.reshape(column)
     dev *= dev
+    tiny = vbar_pow * vbar_pow < _TINY
+    if tiny.any():  # the equal ratio form, where vbar^-2a underflows
+        ratio = (V[tiny] / vbar[tiny].reshape(column)) ** (-expo) - 1.0
+        dev[tiny], vbar_pow[tiny] = ratio * ratio, 1.0
     if V.ndim == 2:
         out = dev.max(axis=1) / (vbar_pow * vbar_pow)
     else:
@@ -114,8 +124,14 @@ def zeta_hat_series(v_store: np.ndarray, expo: float,
     term does not vanish under tracking.  v_pow is as in ``zeta_series``."""
     V = np.asarray(v_store, dtype=float)
     K, n, p = V.shape
-    vbar_pow = V.mean(axis=(1, 2)) ** (-expo)
-    row_mean_pow = V.mean(axis=2, keepdims=True) ** (-expo)
-    dev = (V ** (-expo) if v_pow is None else v_pow) - row_mean_pow
+    vbar = V.mean(axis=(1, 2))
+    vbar_pow = vbar ** (-expo)
+    row_mean = np.einsum("knp->kn", V)[..., None] / p
+    dev = (V ** (-expo) if v_pow is None else v_pow) - row_mean ** (-expo)
     dev *= dev
+    tiny = vbar_pow * vbar_pow < _TINY
+    if tiny.any():  # the equal ratio form, where vbar^-2a underflows
+        at = vbar[tiny][:, None, None]
+        ratio = (V[tiny] / at) ** (-expo) - (row_mean[tiny] / at) ** (-expo)
+        dev[tiny], vbar_pow[tiny] = ratio * ratio, 1.0
     return dev.sum(axis=(1, 2)) / (n * p * vbar_pow * vbar_pow)

@@ -142,18 +142,35 @@ def _project(pset, y: np.ndarray) -> np.ndarray:
 def _zeta(v: list, expo: float, coord: bool) -> float:
     """Stepsize inconsistency of the denominators v (one array per node):
     the largest (v_i^-a - vbar^-a)^2 / vbar^-2a over nodes for scalars, the
-    mean of that ratio over every entry for coordinate-wise ones; NaN when
-    vbar^-2a underflows, where the quotient is rounding over 0 and forms
-    that round otherwise may even disagree on whether every denominator
-    is equal; else 0 when every denominator is equal."""
+    mean of that ratio over every entry for coordinate-wise ones; 0 when
+    every denominator is equal.  Where vbar^-2a underflows, the quotient
+    would be rounding over 0, so the ratio is taken in its equal form
+    ((v_i / vbar)^-a - 1)^2."""
     flat = np.concatenate(v)
-    ref = flat.mean() ** -expo
-    if ref ** 2 < _TINY:
-        return np.nan
+    vbar = flat.mean()
+    ref = vbar ** -expo
     if flat.min() == flat.max():
         return 0.0
-    dev = np.concatenate([(vi ** -expo - ref) ** 2 / ref ** 2 for vi in v])
+    if ref ** 2 < _TINY:
+        dev = np.concatenate([((vi / vbar) ** -expo - 1.0) ** 2 for vi in v])
+    else:
+        dev = np.concatenate([(vi ** -expo - ref) ** 2 / ref ** 2 for vi in v])
     return float(dev.mean() if coord else dev.max())
+
+
+def _zeta_hat(v: list, expo: float) -> float:
+    """Each node's entries of v against their own mean, scaled by the
+    network mean as in ``_zeta``, with the same equal form where vbar^-2a
+    underflows."""
+    vbar = np.concatenate(v).mean()
+    ref = vbar ** -expo
+    if ref ** 2 < _TINY:
+        dev = (((vi / vbar) ** -expo - (vi.mean() / vbar) ** -expo) ** 2 for vi in v)
+        scale = 1.0
+    else:
+        dev = ((vi ** -expo - vi.mean() ** -expo) ** 2 for vi in v)
+        scale = ref ** 2
+    return sum(d.sum() for d in dev) / (len(v) * len(v[0]) * scale)
 
 
 def _consensus(v: list) -> float:
@@ -268,12 +285,7 @@ def reference_run(problem: QuadraticMinimaxProblem, W: np.ndarray, cfg, noise, X
                 sy.append(cfg.gamma_y * my[i] ** -by)
                 v.append(np.maximum(mx[i], my[i]) if not coord or p == problem.d else mx[i])
             if algo != "d-sgda":
-                hat = 0.0
-                if coord:  # each node's entries against its own mean, scaled by the network mean
-                    ref = np.concatenate(v).mean() ** -ax
-                    hat = np.nan if ref ** 2 < _TINY else sum(
-                        ((vi ** -ax - vi.mean() ** -ax) ** 2).sum() for vi in v) / (
-                        n * p * ref ** 2)
+                hat = _zeta_hat(v, ax) if coord else 0.0
                 zeta = (_zeta(v, ax, coord), _zeta(my, by, coord), hat)
             pre = {"X": [x[i] - sx[i] * g[i][0] for i in range(n)],
                    "Y": [y[i] + sy[i] * g[i][1] for i in range(n)], **pre}

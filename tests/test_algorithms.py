@@ -87,6 +87,22 @@ def test_mix_conserves_column_means_on_both_paths(n, cols, seed, scale):
         assert np.abs(mix(Wm, V).mean(axis=0) - mean).max() <= tol
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), cols=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.integers(-3, 3))
+def test_plain_mix_is_the_product_bit_for_bit_on_both_paths(n, cols, seed, scale):
+    # the round of iterates alone: W @ V as it is, into a buffer or not
+    W = sinkhorn_doubly_stochastic(n, seed)
+    rng = np.random.default_rng(seed)
+    V = (rng.standard_normal((n, cols)) + 10.0 * rng.standard_normal(cols)) * 10.0**scale
+    for Wm in (W, csr_array(W)):
+        expected = Wm @ V
+        assert np.array_equal(mix(Wm, V, centered=False), expected)
+        out = np.empty_like(V)
+        assert mix(Wm, V, out, centered=False) is out
+        assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("n", [3, 64, 65, 400])
 @pytest.mark.parametrize("cols", [1, 2, 3, 8, 16])
 def test_column_sums_are_the_ufunc_reduction_bit_for_bit(n, cols):
@@ -146,6 +162,27 @@ def test_large_ring_run_on_csr_matches_the_dense_run(monkeypatch):
     mx, my = got.avg_m_x[1:], got.avg_m_y[1:]
     assert np.all(np.abs(mx - cfg.c0 - got.gsum_x_series[later]) <= 1e-12 * mx)
     assert np.all(np.abs(my - cfg.c0 - got.gsum_y_series[later]) <= 1e-12 * my)
+
+
+def test_post_mix_tracking_on_a_large_ring_keeps_the_identity():
+    # post-mix tracking mixes [X | Y] by the plain product and centers only
+    # the accumulator round, whose node mean is what the identity reads
+    import adast.algorithms as alg
+
+    prob = make_random_problem(n=400, p=2, d=2, seed=12)
+    W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W
+    cfg = AlgoConfig(algo="d-adast", gamma_x=0.05, gamma_y=0.1, K=10_000,
+                     stepsize_source="mixed")
+    stepper = alg._Stepper(alg._initial_state(prob, cfg, None, None), W, cfg)
+    assert stepper.split and stepper.post_mix and isinstance(stepper.W, csr_array)
+    trace = run(prob, W, cfg, NoiseModel.gaussian(0.1),
+                x0=np.linspace(-1, 1, 400)[:, None] * [1.0, 0.5], y0=0.2, seed=5,
+                trace_stride=500)
+    assert not trace.aborted and trace.k[-1] == 10_000
+    later = trace.k[1:] - 1
+    mx, my = trace.avg_m_x[1:], trace.avg_m_y[1:]
+    assert np.all(np.abs(mx - cfg.c0 - trace.gsum_x_series[later]) <= 1e-12 * mx)
+    assert np.all(np.abs(my - cfg.c0 - trace.gsum_y_series[later]) <= 1e-12 * my)
 
 
 @pytest.mark.parametrize("source", ["local", "mixed"])
@@ -554,16 +591,12 @@ def _reference_case(n, p, d, K, seed, algo, source, graph, noise, projection, ga
         devs[f"consensus_{side}"] = _deviation(ref[f"consensus_{side}"][k],
                                                getattr(trace, f"consensus_{side}")[rows],
                                                skip=mean > 1e160)
-    # the reference's zeta is NaN exactly where vbar^-2a underflows, where
-    # the quotient is rounding noise over 0; a running maximum stays NaN after
     for name in ("zeta_v_inst", "zeta_u_inst", "zeta_v_hat_inst"):
         if getattr(trace, name) is not None:
-            inst = ref[name][k]
-            devs[name] = _deviation(inst, getattr(trace, name)[rows], True, np.isnan(inst))
+            devs[name] = _deviation(ref[name][k], getattr(trace, name)[rows], True)
     for side in ("v", "u"):
         sup = np.maximum.accumulate(ref[f"zeta_{side}_inst"])[k]
-        devs[f"zeta_{side}_sup"] = _deviation(sup, getattr(trace, f"zeta_{side}_sup")[rows], True,
-                                              np.isnan(sup))
+        devs[f"zeta_{side}_sup"] = _deviation(sup, getattr(trace, f"zeta_{side}_sup")[rows], True)
     return trace, ref, devs
 
 
@@ -620,6 +653,21 @@ def test_run_aborts_where_the_per_node_reference_does(algo, source):
     assert ref["boundary"] is None
     expected = (1, 3, "X") if sgda else (1, 1, "My")
     assert (trace.abort.k, trace.abort.node, trace.abort.field) == ref["abort"] == expected
+
+
+def test_run_zeta_stays_finite_where_vbar_power_squared_underflows():
+    # accumulators near 1e240 put vbar^-2a (alpha = 0.7) below the smallest
+    # double: zeta read NaN from k = 1, and its running maximum stayed NaN
+    prob = scalar_problem(A=[0.5] * 2, B=[1.0] * 2, C=[0.5] * 2, b=[0.0] * 2, c=[0.0] * 2)
+    W = np.full((2, 2), 0.5)
+    cfg = AlgoConfig(algo="d-tiada", gamma_x=0.1, gamma_y=0.1, alpha=0.7, beta=0.4, K=5)
+    X0 = np.array([[1e120], [2e120]])
+    trace = run(prob, W, cfg, x0=X0)
+    ref = reference_run(prob, W, cfg, NoiseModel.none(), X0, np.zeros((2, 1)), seed=0)
+    assert trace.abort is None and ref["abort"] is None and trace.avg_m_x[1] > 1e239
+    for name in ("zeta_v_inst", "zeta_v_sup"):
+        assert np.isfinite(getattr(trace, name)).all() and getattr(trace, name)[1] > 0, name
+    assert _deviation(ref["zeta_v_inst"][trace.k], trace.zeta_v_inst, True) <= _REFERENCE_RTOL
 
 
 def test_run_k0_only_initial_record():
@@ -829,25 +877,36 @@ def test_run_abort_names_the_node_and_field_of_the_nonfinite_entry():
 
 def test_run_abort_names_the_node_whose_iterate_overflowed_before_the_mix():
     # node 2's x-gradient -C x overflows, so its pre-mix x is non-finite
-    # while nodes 0 and 1 stay at 0; the round then spreads NaN to every
-    # node, for every method and ordering, and the abort names node 2
+    # while nodes 0 and 1 stay at 0; the round then spreads it to every
+    # node, for every method and ordering, and the abort names node 2.
+    # d-sgda's pre-mix x is inf, and its plain round of iterates spreads
+    # inf.  The adaptive methods' is NaN already (the squared gradient
+    # makes node 2's stepsize 0, or NaN after a centered accumulator
+    # round, times an infinite gradient), and so is every node after them
     p = _scalar_problem(B=1.0, A=0.0, C=1e10, b=0.0, c=0.0, n=3)
     for algo, source in itertools.product(ALGORITHMS, ("local", "mixed")):
         cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=5, stepsize_source=source)
         trace = run(p, np.full((3, 3), 1.0 / 3.0), cfg, x0=[[0.0], [0.0], [1e300]])
         assert trace.abort == AbortInfo(k=1, node=2, field="X"), (algo, source)
-        assert np.isnan(trace.final_state.X).all()
+        spread = np.isinf if algo == "d-sgda" else np.isnan
+        assert spread(trace.final_state.X).all(), (algo, source)
 
 
 def test_run_abort_past_the_mix_names_the_state_entry():
     # every pre-mix entry is finite and the round itself overflows: the
-    # mean-centred mix sums 1e308 twice, so the screen falls back to the
-    # state, where node 0 is the first non-finite entry of X
+    # centered round of pre-mix tracking sums 1e308 twice, so the screen
+    # falls back to the state, where node 0 is the first non-finite entry
+    # of X.  d-sgda's plain round of iterates adds 0.5 * 1e308 twice, which
+    # is finite
     p = _scalar_problem(B=1.0, A=0.0, C=0.0, b=0.0, c=0.0, n=2)
-    for algo in ("d-sgda", "d-adast-coord"):
+    W = np.full((2, 2), 0.5)
+    for algo in ("d-adast", "d-adast-coord"):
         cfg = AlgoConfig(algo=algo, gamma_x=0.1, gamma_y=0.1, K=3)
-        trace = run(p, np.full((2, 2), 0.5), cfg, x0=1e308, y0=0.0)
+        trace = run(p, W, cfg, x0=1e308, y0=0.0)
         assert trace.abort == AbortInfo(k=1, node=0, field="X"), algo
+    trace = run(p, W, AlgoConfig(algo="d-sgda", gamma_x=0.1, gamma_y=0.1, K=3), x0=1e308, y0=0.0)
+    assert trace.abort is None and trace.final_state.k == 3
+    assert np.isfinite(trace.final_state.X).all()
 
 
 def test_run_rejects_mismatched_weights():

@@ -42,5 +42,20 @@ def test_compare_reports_where_and_how_much_outputs_differ(tmp_path, capsys):
         "run/trace_d-adast.csv: bytes differ",
         "  1 of 3 rows differ (lines 3), in columns xbar_0",
         "  largest difference 2.22e-16 relative, 1 ULP",
-        "0 of 2 files identical",
+        "0 of 2 files identical; largest CSV difference 2.22e-16 relative"
+        " (run/trace_d-adast.csv), 1 ULP (run/trace_d-adast.csv)",
+    ]
+
+    # a second trace: a larger relative difference, in fewer ULP, and one
+    # value inf on one side, which the sizes leave out and count apart
+    rows = ["k,consensus_x", "0,1e-300", "1,5e-324", "2,3.0"]
+    (a / "run" / "trace_d-sgda.csv").write_text("\n".join(rows) + "\n")
+    rows[2:] = ["1,1e-323", "2,inf"]
+    (b / "run" / "trace_d-sgda.csv").write_text("\n".join(rows) + "\n")
+    assert compare_outputs.compare_sets(a, b) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "  2 of 3 rows differ (lines 3, 4), in columns consensus_x",
+        "  largest difference 0.5 relative, 1 ULP; 1 values not finite on one side",
+        "0 of 3 files identical; largest CSV difference 0.5 relative (run/trace_d-sgda.csv),"
+        " 1 ULP (run/trace_d-adast.csv); 1 CSV values not finite on one side",
     ]

@@ -827,6 +827,17 @@ def test_cli_unknown_command(capsys):
     assert err.startswith("usage: adast") and "{run,counterexample,sweep,spectral}" in err
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_cli_help_prints_the_subcommands_and_exits_0(capsys, flag):
+    assert cli_main([flag]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "usage: adast {run,counterexample,sweep,spectral} ..."
+    assert [line.split()[0] for line in lines[1:]] == ["run", "counterexample", "sweep",
+                                                       "spectral"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--gamma-x-grid", "0.1,0.2"]])
 def test_cli_empty_out_dir_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)

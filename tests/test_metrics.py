@@ -49,6 +49,24 @@ def test_inconsistency_u_mirrors_v():
         assert [_zeta(v, expo) for v in V] == series.tolist()
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["scalar", "coordinate-wise"])
+def test_zeta_takes_the_ratio_form_where_vbar_power_squared_underflows(shape):
+    # zeta is invariant under scaling the denominators; past about 1e220
+    # (alpha = 0.7) or 1e171 (0.9) vbar^-2a underflows, and the quotient
+    # form read 0 / 0.  Those rows take ((v / vbar)^-a - 1)^2, and a row
+    # clear of the underflow keeps its bits
+    rng = np.random.default_rng(7)
+    V = rng.uniform(0.5, 2.0, (1, *shape))
+    stack = np.concatenate([V, V * 1e230, V * 1e300])
+    for expo in (0.7, 0.9):
+        series = [zeta_series(stack, expo)] + ([zeta_hat_series(stack, expo)] if V.ndim == 3
+                                                 else [])
+        for z in series:
+            assert np.isfinite(z).all() and z[0] > 0
+            assert z[1:] == pytest.approx([z[0]] * 2, rel=1e-12)
+        assert series[0][0] == zeta_series(V, expo)[0]
+
+
 def test_coordinate_inconsistency_flattened_mean():
     # independent hand evaluation of the Frobenius form for V = [[1, 4]]
     V = np.array([[1.0, 4.0]])

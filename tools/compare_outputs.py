@@ -37,10 +37,15 @@ eigen-solve.  Each lands in its own subdirectory of OUT_DIR.
 is byte-identical, and that every ``manifest.json`` holds the same values
 apart from ``timestamp``.  It prints each difference and says how large
 it is: for a CSV whose bytes differ, the lines and columns that differ
-and the largest relative and ULP difference between their numbers (or
-that the header or the row count differs); for a ``manifest.json`` whose
-values differ, the key paths that differ (``problem.meta.seed``; a list
-is one key).  It exits 1 when there is a difference, 0 otherwise.
+and the largest relative and ULP difference between numbers finite on
+both sides, with the count of differing numbers not finite on one side
+(or that the header or the row count differs); for a ``manifest.json``
+whose values differ, the key paths that differ (``problem.meta.seed``; a
+list is one key).  Its last line totals the comparison: the count of
+identical files and, when a CSV differs, the largest relative and ULP
+difference over every differing CSV with the file where each occurs,
+and the count of values not finite on one side.  It exits 1 when there
+is a difference, 0 otherwise.
 Typical use: write the set for the parent commit's ``src`` (from a ``git
 archive`` copy) and for the working tree, then compare them.
 """
@@ -196,14 +201,17 @@ def _ulp_key(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _csv_differences(fa: Path, fb: Path) -> list[str]:
-    """How two CSVs with a header line differ, as lines to print."""
+def _csv_differences(fa: Path, fb: Path) -> tuple[list[str], float, int, int]:
+    """How two CSVs with a header line differ: the lines to print, the
+    largest relative and ULP difference between numbers finite on both
+    sides, and the count of numbers that differ and are not finite on one
+    side or both (inf against a finite value, say)."""
     ra, rb = (list(csv.reader(f.read_text().splitlines())) for f in (fa, fb))
     if not ra or not rb or ra[0] != rb[0]:
-        return ["header differs"]
+        return ["header differs"], 0.0, 0, 0
     if len(ra) != len(rb):
-        return [f"{len(ra) - 1} against {len(rb) - 1} rows"]
-    header, lines, cols, rel, ulp = ra[0], [], set(), 0.0, 0
+        return [f"{len(ra) - 1} against {len(rb) - 1} rows"], 0.0, 0, 0
+    header, lines, cols, rel, ulp, nonfinite = ra[0], [], set(), 0.0, 0, 0
     for line, (row_a, row_b) in enumerate(zip(ra[1:], rb[1:]), start=2):
         if row_a == row_b:
             continue
@@ -216,21 +224,26 @@ def _csv_differences(fa: Path, fb: Path) -> list[str]:
                 x, y = float(x), float(y)
             except ValueError:
                 continue  # a text cell
-            if x != y:  # the scale is never 0, so NaN against 0 does not divide by it
+            if not (math.isfinite(x) and math.isfinite(y)):
+                nonfinite += 1  # the texts differ, so the values do
+            elif x != y:  # the scale is never 0
                 rel = max(rel, abs(x - y) / max(abs(x), abs(y), math.ulp(0.0)))
                 ulp = max(ulp, abs(_ulp_key(x) - _ulp_key(y)))
     if not lines:
-        return []
+        return [], rel, ulp, nonfinite
     shown = ", ".join(map(str, lines[:10])) + (", ..." if len(lines) > 10 else "")
+    size = f"largest difference {rel:.3g} relative, {ulp} ULP"
+    if nonfinite:
+        size += f"; {nonfinite} values not finite on one side"
     return [f"{len(lines)} of {len(ra) - 1} rows differ (lines {shown}),"
-            f" in columns {', '.join(h for h in header if h in cols)}",
-            f"largest difference {rel:.3g} relative, {ulp} ULP"]
+            f" in columns {', '.join(h for h in header if h in cols)}", size], rel, ulp, nonfinite
 
 
 def compare_sets(a: Path, b: Path) -> int:
     files = sorted({f.relative_to(root) for root in (a, b)
                     for f in root.rglob("*") if f.is_file()})
-    differ = 0
+    differ = nonfinite = 0
+    worst_rel, worst_ulp = (0.0, None), (0, None)  # (size, file) over every differing CSV
     for rel in files:
         fa, fb = a / rel, b / rel
         if not (fa.is_file() and fb.is_file()):
@@ -245,12 +258,23 @@ def compare_sets(a: Path, b: Path) -> int:
             print(f"{rel}: manifest values differ at {', '.join(keys)}")
         elif fa.read_bytes() != fb.read_bytes():
             print(f"{rel}: bytes differ")
-            for line in _csv_differences(fa, fb) if rel.suffix == ".csv" else []:
-                print(f"  {line}")
+            if rel.suffix == ".csv":
+                lines, size_rel, size_ulp, bad = _csv_differences(fa, fb)
+                for line in lines:
+                    print(f"  {line}")
+                worst_rel = max(worst_rel, (size_rel, rel), key=lambda t: t[0])
+                worst_ulp = max(worst_ulp, (size_ulp, rel), key=lambda t: t[0])
+                nonfinite += bad
         else:
             continue
         differ += 1
-    print(f"{len(files) - differ} of {len(files)} files identical")
+    total = f"{len(files) - differ} of {len(files)} files identical"
+    if worst_rel[1] is not None:  # a number differs, so by one ULP at least
+        total += (f"; largest CSV difference {worst_rel[0]:.3g} relative ({worst_rel[1]}),"
+                  f" {worst_ulp[0]} ULP ({worst_ulp[1]})")
+    if nonfinite:
+        total += f"; {nonfinite} CSV values not finite on one side"
+    print(total)
     return 1 if differ else 0
 
 
