@@ -44,10 +44,8 @@ from .topology import (  # noqa: F401
     GraphSpec,
     WeightMatrix,
     build_graph,
-    is_connected,
     metropolis_weights,
     spectral_rho,
-    uniform_out_weights,
     validate_doubly_stochastic,
     weights_for,
 )

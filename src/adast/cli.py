@@ -35,7 +35,7 @@ from .harness import (EXPERIMENTS, RunConfig, counterexample_report, problem_for
 from .problems import NOISE_KINDS, NoiseModel
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
-_TOPOLOGIES = "ring | directed-ring | exponential | dense | complete"
+_TOPOLOGIES = " | ".join(k.value for k in GraphKind if k is not GraphKind.CUSTOM)
 # the AlgoConfig fields a sweep grids over, in the order of its cells' names and columns
 _GRID = ("gamma_x", "gamma_y", "alpha", "beta")
 

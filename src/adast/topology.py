@@ -4,8 +4,7 @@ A graph is a list of receive edges (i, j): node i receives node j's
 values each round.  Undirected kinds (ring, dense, complete) have a
 symmetric edge list; directed-ring and exponential are directed but keep
 equal in- and out-degrees, which is what makes the uniform weighting
-doubly stochastic.  ``build_graph`` returns the same graph as an (n, n)
-boolean receive-adjacency, and the public weight functions take one.
+doubly stochastic.  ``weights_for`` builds W from the edge list.
 
 Apart from W itself, building W costs O(edges), times log(edges) where
 the sorted edge list is searched: the edge arrays, the symmetry, degree
@@ -27,6 +26,7 @@ graphs and any other W take a dense eigen-solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,11 +41,9 @@ __all__ = [
     "WeightMatrix",
     "build_graph",
     "metropolis_weights",
-    "uniform_out_weights",
     "weights_for",
     "spectral_rho",
     "validate_doubly_stochastic",
-    "is_connected",
 ]
 
 
@@ -71,12 +69,21 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ConfigError(f"node count must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ConfigError(f"node count must be >= 1, got {self.n}")
         if self.kind is GraphKind.CUSTOM:
             if self.edges is None:
                 raise ConfigError("custom graph requires an edge list")
-            for i, j in self.edges:
+            for edge in self.edges:
+                try:
+                    i, j = map(operator.index, edge)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"edge {edge!r} is not a pair of integer node labels") from None
                 if not (0 <= i < self.n and 0 <= j < self.n):
                     raise ConfigError(f"edge ({i},{j}) out of range for n={self.n}")
         elif self.edges is not None:
@@ -158,6 +165,7 @@ def build_graph(spec: GraphSpec) -> np.ndarray:
     entry (i, j) is True when node i receives from node j.
 
     Self-loops are excluded; they enter through the weight construction.
+    Only ``bench/test_bench.py`` and the tests call this.
     """
     adj = np.zeros((spec.n, spec.n), dtype=bool)
     adj[_edges(spec)] = True
@@ -225,15 +233,11 @@ def _uniform(n: int, i: np.ndarray, j: np.ndarray) -> WeightMatrix:
     return WeightMatrix(W=W, rho_w=spectral_rho(W))
 
 
-def is_connected(adj: np.ndarray) -> bool:
-    """Whether the union graph (edges of W and W^T) is connected."""
-    return _connected(len(adj), *np.nonzero(adj))
-
-
 def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
     """Symmetric doubly-stochastic weights: W_ij = 1/(1 + max(deg_i, deg_j)).
 
-    Requires an undirected, connected graph.
+    Requires an undirected, connected graph.  Only ``bench/test_bench.py``
+    and the tests call this.
     """
     n, (i, j) = len(adj), np.nonzero(adj)
     if not _symmetric(n, i, j):
@@ -242,14 +246,6 @@ def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
             f"metropolis weights need an undirected graph; edge {i[k]}<-{j[k]} has no reverse"
         )
     return _metropolis(n, i, j)
-
-
-def uniform_out_weights(adj: np.ndarray) -> WeightMatrix:
-    """Uniform weights 1/(d+1) on in-neighbors and self.
-
-    Doubly stochastic provided every node has in-degree == out-degree == d.
-    """
-    return _uniform(len(adj), *np.nonzero(adj))
 
 
 def weights_for(spec: GraphSpec) -> WeightMatrix:
@@ -294,10 +290,14 @@ def spectral_rho(W: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
-def validate_doubly_stochastic(W: np.ndarray, tol: float = 1e-12) -> dict:
+_STOCHASTIC_TOL = 1e-12
+
+
+def validate_doubly_stochastic(W: np.ndarray) -> dict:
     """Largest row- and column-sum deviations from 1 and the smallest entry
-    of a candidate W, and whether all three are within ``tol``."""
+    of a candidate W, and whether all three are within ``_STOCHASTIC_TOL``."""
     W = np.asarray(W, dtype=float)
+    tol = _STOCHASTIC_TOL
     row_dev = float(np.abs(W.sum(axis=1) - 1.0).max())
     col_dev = float(np.abs(W.sum(axis=0) - 1.0).max())
     min_entry = float(W.min())
