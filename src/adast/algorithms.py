@@ -55,7 +55,7 @@ from .metrics import TRACE_HEADER, consensus_error, grad_phi_sq, grad_xf_sq
 from .metrics import zeta_hat_series as _zeta_hat_series
 from .metrics import zeta_series as _zeta_series
 from .problems import ALL, GradientStream, NoiseModel, ProjectionSet, QuadraticMinimaxProblem, \
-    project, require_finite, sample_grad_block
+    project, require_finite, require_int, sample_grad_block
 
 __all__ = [
     "ALGORITHMS",
@@ -112,6 +112,7 @@ class AlgoConfig:
             raise ConfigError("stepsizes gamma_x and gamma_y must be positive")
         if self.c0 < 0:
             raise ConfigError("initial buffer c0 must be nonnegative")
+        require_int(K=self.K)
         if self.K < 0:
             raise ConfigError("iteration count K must be nonnegative")
         if self.stepsize_source not in STEPSIZE_SOURCES:
@@ -300,27 +301,18 @@ def _initial_state(
     problem: QuadraticMinimaxProblem, cfg: AlgoConfig, x0, y0
 ) -> RunState:
     n, p, d = problem.n, problem.p, problem.d
-
-    def expand(v, dim, name):
-        if v is None:
-            return np.zeros((n, dim))
-        arr = np.asarray(v, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{name} must be finite")
-        if arr.ndim == 0:
-            return np.full((n, dim), float(arr))
-        if arr.shape == (dim,):
-            return np.tile(arr, (n, 1))
-        if arr.shape == (n, dim):
-            return arr
-        raise ConfigError(f"{name} must be scalar, ({dim},) or ({n},{dim}), got {arr.shape}")
-
     coord = cfg.algo == "d-adast-coord"
     a, q = p + d, p + d if coord else 2
     Z = np.empty(n * (a + q))
     XY, M = _blocks(Z, n, a, split=not _pre_mix(cfg))
-    XY[:, :p] = expand(x0, p, "x0")
-    XY[:, p:] = expand(y0, d, "y0")
+    # a scalar or one (dim,) row stands for every node's row
+    for v, dim, out, name in ((x0, p, XY[:, :p], "x0"), (y0, d, XY[:, p:], "y0")):
+        arr = np.asarray(0.0 if v is None else v, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{name} must be finite")
+        if arr.shape not in ((), (dim,), (n, dim)):
+            raise ConfigError(f"{name} must be scalar, ({dim},) or ({n},{dim}), got {arr.shape}")
+        out[...] = arr
     M[...] = cfg.c0
     return RunState(Z=Z, XY=XY, M=M, p=p, coord=coord)
 
@@ -380,7 +372,7 @@ class _Stepper:
             -np.repeat([cfg.alpha, cfg.beta], self.sides if self.coord else (1, 1)), (n, 1))
         self.psi = np.ones((n, a))  # coordinate-wise psi on the x columns, 1 on the y columns
         self.S = np.empty((n, a))  # signed stepsize of every iterate entry
-        B = np.empty_like(self.Z)  # the pre-mix buffer
+        B = np.zeros_like(self.Z)  # the pre-mix buffer; fields a method never writes stay 0
         self.XY, self.M, self.Y = XY, M, XY[:, p:]
         self.B_XY, self.B_M = _blocks(B, n, a, self.split)
         # B as a state: where a non-finite value is first seen before a round spreads it
@@ -448,10 +440,10 @@ class _Stepper:
             np.maximum(mx, my, out=D[:, :p])
 
 
-def _find_nonfinite(state: RunState, names=_FIELDS) -> tuple[int, str] | None:
-    """The first of the fields ``names`` of ``state`` holding a non-finite
+def _find_nonfinite(state: RunState) -> tuple[int, str] | None:
+    """The first of the fields ``_FIELDS`` of ``state`` holding a non-finite
     entry, and its first such node; None when there is none."""
-    for name in names:
+    for name in _FIELDS:
         bad = ~np.isfinite(getattr(state, name))
         if bad.any():
             return int(np.argwhere(bad)[0][0]), name
@@ -578,6 +570,7 @@ def run(
     W = np.asarray(W, dtype=float)
     if W.shape != (problem.n, problem.n):
         raise ConfigError(f"weight matrix shape {W.shape} does not match n={problem.n}")
+    require_int(trace_stride=trace_stride)
     if trace_stride < 1:
         raise ConfigError("trace_stride must be >= 1")
 
@@ -607,11 +600,8 @@ def run(
             # entry is, so the entrywise screen runs only near divergence.
             if not math.isfinite(np.vdot(Z, Z)) and not np.isfinite(Z).all():
                 # a mix spreads one node's inf, as NaN, to every node, so the
-                # pre-mix blocks name the node before the state does; B's
-                # accumulators are written and mixed only by the tracking methods
-                mixed = _FIELDS if cfg.algo in TRACKING_ALGORITHMS else _FIELDS[:2]
-                node, field_name = (_find_nonfinite(stepper.B, mixed)
-                                    or _find_nonfinite(state))
+                # pre-mix buffer names the node before the state does
+                node, field_name = _find_nonfinite(stepper.B) or _find_nonfinite(state)
                 abort = AbortInfo(k=k + 1, node=node, field=field_name)
                 break
             if (k + 1) % trace_stride == 0:

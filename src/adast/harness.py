@@ -30,6 +30,7 @@ from .problems import (
     make_synthetic,
     make_two_node_case_study,
     require_finite,
+    require_int,
 )
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
@@ -148,6 +149,7 @@ class RunConfig:
             )
         if not self.algo_configs:
             raise ConfigError("at least one algorithm config is required")
+        require_int(trace_stride=self.trace_stride)
         if self.trace_stride < 1:
             raise ConfigError("trace_stride must be >= 1")
         if self.seed < 0:
@@ -227,6 +229,11 @@ def write_trace(trace: Trace, path: Path | str) -> None:
 
 def _gnuplot_script(algo_files: dict[str, str]) -> str:
     """Plot script reading the CSVs: trajectory, gradient norm, inconsistency."""
+
+    def plot(using: str) -> str:
+        return "plot " + ", \\\n     ".join(
+            f'"{f}" using {using} with lines title "{algo}"' for algo, f in algo_files.items())
+
     lines = [
         "# Trajectory, gradient-norm and inconsistency panels from the trace CSVs.",
         'set datafile separator ","',
@@ -236,23 +243,13 @@ def _gnuplot_script(algo_files: dict[str, str]) -> str:
         "set key top right",
         'set xlabel "xbar"',
         'set ylabel "ybar"',
-        "plot " + ", \\\n     ".join(
-            f'"{f}" using "xbar_0":"ybar_0" with lines title "{algo}"'
-            for algo, f in algo_files.items()
-        ),
+        plot('"xbar_0":"ybar_0"'),
         "set logscale y",
         'set xlabel "iteration"',
         'set ylabel "||grad_x f(xbar,ybar)||^2"',
-        "plot " + ", \\\n     ".join(
-            f'"{f}" using "k":"grad_xf_sq" with lines title "{algo}"'
-            for algo, f in algo_files.items()
-        ),
+        plot('"k":"grad_xf_sq"'),
         'set ylabel "zeta_v^2 (instantaneous)"',
-        "plot " + ", \\\n     ".join(
-            f'"{f}" using "k":(column("zeta_v_inst") > 0 ? column("zeta_v_inst") : NaN) '
-            f'with lines title "{algo}"'
-            for algo, f in algo_files.items()
-        ),
+        plot('"k":(column("zeta_v_inst") > 0 ? column("zeta_v_inst") : NaN)'),
         "unset multiplot",
     ]
     return "\n".join(lines) + "\n"

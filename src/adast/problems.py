@@ -17,6 +17,7 @@ used as stationarity oracles when the dual domain is unconstrained.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -260,6 +261,15 @@ def require_finite(**values: float | None) -> None:
     for name, value in values.items():
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def require_int(**values) -> None:
+    """Raise ConfigError naming the first value that is not an integer."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A graph is a list of receive edges (i, j): node i receives node j's
 values each round.  Undirected kinds (ring, dense, complete) have a
 symmetric edge list; directed-ring and exponential are directed but keep
 equal in- and out-degrees, which is what makes the uniform weighting
-doubly stochastic.  ``weights_for`` builds W from the edge list.
+doubly stochastic.  ``weights_for`` builds W from the edge list, by one
+builder for the uniform and the Metropolis rule.
 
 Apart from W itself, building W costs O(edges), times log(edges) where
 the sorted edge list is searched: the edge arrays, the symmetry, degree
@@ -27,6 +28,7 @@ graphs and any other W take a dense eigen-solve.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GraphConnectivityError, InvalidGraphError
+from .problems import require_int
 
 __all__ = [
     "GraphKind",
@@ -60,8 +63,9 @@ class GraphKind(str, Enum):
 class GraphSpec:
     """Declarative description of a communication graph.
 
-    ``edges`` is only used for CUSTOM and lists ordered pairs (i, j)
-    meaning node i receives from node j.
+    ``kind`` may be given by its value, "ring" say, and is kept as the
+    GraphKind.  ``edges`` is only used for CUSTOM and lists ordered pairs
+    (i, j) meaning node i receives from node j.
     """
 
     n: int
@@ -69,15 +73,18 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ConfigError(f"node count must be an integer, got {self.n!r}") from None
+        require_int(n=self.n)
         if self.n < 1:
             raise ConfigError(f"node count must be >= 1, got {self.n}")
+        try:
+            object.__setattr__(self, "kind", GraphKind(self.kind))
+        except ValueError:
+            raise ConfigError(f"unknown topology {self.kind!r}") from None
         if self.kind is GraphKind.CUSTOM:
             if self.edges is None:
                 raise ConfigError("custom graph requires an edge list")
+            if not isinstance(self.edges, Iterable):
+                raise ConfigError(f"edge list must hold node pairs, got {self.edges!r}")
             for edge in self.edges:
                 try:
                     i, j = map(operator.index, edge)
@@ -202,34 +209,16 @@ def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
     return True
 
 
-def _metropolis(n: int, i: np.ndarray, j: np.ndarray) -> WeightMatrix:
-    """Metropolis weights of a symmetric edge list."""
+def _weights(n: int, i: np.ndarray, j: np.ndarray, w: float | None) -> WeightMatrix:
+    """W of a connected edge list: the weight w on every edge and on the
+    diagonal, or for w None the Metropolis weights 1/(1 + max(deg_i, deg_j))
+    on the edges and 1 - row sum on the diagonal."""
     if not _connected(n, i, j):
         raise GraphConnectivityError("graph is not connected")
-
     deg = np.bincount(i, minlength=n)
     W = np.zeros((n, n))
-    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return WeightMatrix(W=W, rho_w=spectral_rho(W))
-
-
-def _uniform(n: int, i: np.ndarray, j: np.ndarray) -> WeightMatrix:
-    """Uniform weights of an edge list whose nodes all have one in- and
-    out-degree."""
-    in_deg, out_deg = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
-    if (in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any():
-        raise InvalidGraphError(
-            "uniform weighting needs equal in/out degrees, "
-            f"got in={in_deg.tolist()} out={out_deg.tolist()}"
-        )
-    if not _connected(n, i, j):
-        raise GraphConnectivityError("graph is not connected")
-
-    w = 1.0 / (in_deg[0] + 1)
-    W = np.zeros((n, n))
-    W[i, j] = w
-    np.fill_diagonal(W, w)
+    W[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j])) if w is None else w
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1) if w is None else w)
     return WeightMatrix(W=W, rho_w=spectral_rho(W))
 
 
@@ -245,18 +234,25 @@ def metropolis_weights(adj: np.ndarray) -> WeightMatrix:
         raise InvalidGraphError(
             f"metropolis weights need an undirected graph; edge {i[k]}<-{j[k]} has no reverse"
         )
-    return _metropolis(n, i, j)
+    return _weights(n, i, j, None)
 
 
 def weights_for(spec: GraphSpec) -> WeightMatrix:
     """Default weight scheme per kind: uniform for the directed graphs and
     the complete graph (whose W is then exactly J = ones/n), Metropolis
-    for the other undirected ones."""
+    for the other undirected ones.  Uniform weights need every node to
+    have one in- and out-degree, checked before connectivity."""
     n, (i, j) = spec.n, _edges(spec)
     uniform = (GraphKind.DIRECTED_RING, GraphKind.EXPONENTIAL, GraphKind.COMPLETE)
-    if spec.kind in uniform or not _symmetric(n, i, j):
-        return _uniform(n, i, j)
-    return _metropolis(n, i, j)
+    if spec.kind not in uniform and _symmetric(n, i, j):
+        return _weights(n, i, j, None)
+    in_deg, out_deg = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
+    if (in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any():
+        raise InvalidGraphError(
+            "uniform weighting needs equal in/out degrees, "
+            f"got in={in_deg.tolist()} out={out_deg.tolist()}"
+        )
+    return _weights(n, i, j, 1.0 / (in_deg[0] + 1))
 
 
 # Entries of W - J formed at a time by the circulance test (128 KiB).

@@ -161,7 +161,7 @@ def _zeta(v: list, expo: float, coord: bool) -> float:
 def _zeta_hat(v: list, expo: float) -> float:
     """Each node's entries of v against their own mean, scaled by the
     network mean as in ``_zeta``, with the same equal form where vbar^-2a
-    underflows."""
+    underflows; a node whose entries are all equal adds 0."""
     vbar = np.concatenate(v).mean()
     ref = vbar ** -expo
     if ref ** 2 < _TINY:
@@ -170,7 +170,8 @@ def _zeta_hat(v: list, expo: float) -> float:
     else:
         dev = ((vi ** -expo - vi.mean() ** -expo) ** 2 for vi in v)
         scale = ref ** 2
-    return sum(d.sum() for d in dev) / (len(v) * len(v[0]) * scale)
+    return sum(0.0 if vi.min() == vi.max() else d.sum()
+               for vi, d in zip(v, dev)) / (len(v) * len(v[0]) * scale)
 
 
 def _consensus(v: list) -> float:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -914,6 +915,20 @@ def test_run_rejects_mismatched_weights():
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=1)
     with pytest.raises(ConfigError):
         run(p, np.ones((3, 3)) / 3.0, cfg)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_iteration_count_and_trace_stride_must_be_integers(value):
+    # K = 2.5 and trace_stride = 2.5 used to pass the checks and fail in the
+    # run loop with a bare TypeError
+    with pytest.raises(ConfigError, match=re.escape(f"K must be an integer, got {value!r}")):
+        AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=value)
+    p, W = make_two_node_case_study(), np.full((2, 2), 0.5)
+    cfg = AlgoConfig(algo="d-adast", gamma_x=0.1, gamma_y=0.1, K=np.int64(3))
+    with pytest.raises(ConfigError, match=re.escape(f"trace_stride must be an integer, got "
+                                                    f"{value!r}")):
+        run(p, W, cfg, trace_stride=value)
+    assert run(p, W, cfg, trace_stride=np.int64(2)).k.tolist() == [0, 2, 3]
 
 
 @pytest.mark.parametrize("start", [{"x0": np.inf}, {"y0": [[0.0], [np.nan]]}],

@@ -241,6 +241,8 @@ _REFUSED_WITHOUT_A_PROBLEM = {
     "counterexample-init-spread": ({"experiment": "counterexample", "init_spread": 0.1},
                                    "do not apply"),
     "counterexample-x0-zero": ({"experiment": "counterexample", "init_x": 0.0}, "x0 != 0"),
+    "fractional-trace-stride": ({"experiment": "case-study", "trace_stride": 2.5},
+                                "trace_stride must be an integer, got 2.5"),
 }
 
 

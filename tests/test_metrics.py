@@ -14,6 +14,7 @@ from adast.metrics import (
 )
 from adast.problems import NoiseModel, make_two_node_case_study
 from adast.topology import GraphKind, GraphSpec, weights_for
+from conftest import _zeta_hat as reference_zeta_hat
 from conftest import make_random_problem, phi, scalar_problem
 
 
@@ -93,6 +94,37 @@ def test_zeta_hat_hand_example():
     # equal coordinates within each row: zeta_hat vanishes
     V3 = np.array([[2.0, 2.0], [5.0, 5.0]])
     assert _zeta_hat(V3, a) == 0.0
+
+
+@pytest.mark.parametrize("value", [0.1, 3.0, 7e239])
+def test_zeta_hat_of_equal_coordinates_is_exactly_zero(value):
+    # the rounded row mean of three 0.1s is one step above 0.1, which read
+    # 1.24e-32 where zeta reads 0 (7e239 takes the equal ratio form and read
+    # 4.9e-32); a node whose coordinates agree reads 0, here also beside a
+    # node that does not, whose term is kept
+    V = np.full((1, 4, 3), value)
+    for expo in (0.6, 0.7):
+        assert zeta_hat_series(V, expo)[0] == 0.0
+        assert zeta_series(V, expo)[0] == 0.0
+        spread = V.copy()
+        spread[0, 2] = [value, 2 * value, 4 * value]
+        expect = reference_zeta_hat(list(spread[0]), expo)
+        assert expect > 0 and zeta_hat_series(spread, expo)[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_zeta_hat_zeroes_the_nodes_whose_coordinates_agree_as_min_equals_max(p):
+    # the series compares a column at a time; the reference takes min == max.
+    # Node 0's first two coordinates agree, node 1's all do
+    rng = np.random.default_rng(p)
+    V = rng.uniform(0.1, 2.0, (6, 4, p))
+    V[:, 0, :2] = V[:, 0, :1]
+    V[:, 1] = V[:, 1, :1]
+    V[2, 2, -1] = np.nan
+    V[3, 3] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expect = [reference_zeta_hat(list(v), 0.6) for v in V]
+        assert zeta_hat_series(V, 0.6) == pytest.approx(expect, rel=1e-12, nan_ok=True)
 
 
 def test_zeta_series_with_the_power_given_equal_the_plain_calls():

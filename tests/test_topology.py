@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from adast import topology
 from adast.errors import ConfigError, GraphConnectivityError, InvalidGraphError
 from adast.topology import (
     GraphKind,
@@ -58,11 +59,25 @@ def test_invalid_specs():
     (3, ((0, 1.7), (1.7, 0), (1, 2), (2, 1)), "1.7"),
     (2.5, None, "2.5"),
     (3, ((0, 1, 2), (1, 0)), r"\(0, 1, 2\)"),
+    # an edge list that is no sequence raised a bare TypeError
+    (3, 5, "got 5"),
 ])
 def test_malformed_specs_raise_config_error(n, edges, named):
     kind = GraphKind.RING if edges is None else GraphKind.CUSTOM
     with pytest.raises(ConfigError, match=named):
         GraphSpec(n=n, kind=kind, edges=edges)
+
+
+def test_graph_kind_is_given_by_the_kind_or_its_value():
+    # "ring" used to pass unchecked and build the complete graph's [0.2] * 5
+    spec = GraphSpec(n=5, kind="ring")
+    assert spec.kind is GraphKind.RING
+    W = weights_for(spec).W
+    assert W[0] == pytest.approx([1 / 3, 1 / 3, 0, 0, 1 / 3], abs=1e-15)
+    assert np.array_equal(W, weights_for(GraphSpec(n=5, kind=GraphKind.RING)).W)
+    for kind in ("bogus", None, 3):
+        with pytest.raises(ConfigError, match=f"unknown topology {kind!r}"):
+            GraphSpec(n=5, kind=kind)
 
 
 def test_metropolis_ring3_is_averaging_matrix():
@@ -355,6 +370,53 @@ def test_connectivity_matches_breadth_first_search(graph):
     n, edges = graph
     adj = build_graph(GraphSpec(n=n, kind=GraphKind.CUSTOM, edges=edges))
     assert _connected_by_hooking(adj) == _bfs_connected(adj)
+
+
+@st.composite
+def _custom_graphs(draw):
+    """A custom edge list of one of three kinds: a random one as
+    ``_edge_lists`` draws it (its degrees are mostly unequal), the same
+    with each edge's reverse added (symmetric), or a balanced directed one
+    in which node perm[t] receives from node perm[(t + s) % n] for each
+    offset s of a set (symmetric too when the set is closed under
+    negation).  Any of them may be disconnected."""
+    n, edges = draw(_edge_lists())
+    family = draw(st.sampled_from(["random", "symmetric", "balanced"]))
+    if family == "symmetric":
+        edges += tuple((j, i) for i, j in edges)
+    elif family == "balanced":
+        perm = draw(st.permutations(range(n)))
+        offsets = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=4))
+        edges = tuple((perm[t], perm[(t + s) % n]) for t in range(n) for s in offsets)
+    return n, edges
+
+
+def _no_connectivity_check(*args):
+    raise AssertionError("the connectivity check ran before the degree check")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph=_custom_graphs())
+@example(graph=(4, ((0, 1), (1, 0), (2, 3), (3, 2))))  # symmetric, two components
+@example(graph=(4, ((1, 0), (0, 1), (3, 2))))  # unequal degrees and disconnected
+def test_custom_weights_equal_the_node_by_node_construction(graph):
+    n, edges = graph
+    spec = GraphSpec(n=n, kind=GraphKind.CUSTOM, edges=edges)
+    adj = build_graph(spec)
+    symmetric = np.array_equal(adj, adj.T)
+    in_deg, out_deg = adj.sum(axis=1), adj.sum(axis=0)
+    if not symmetric and ((in_deg != in_deg[0]).any() or (out_deg != in_deg[0]).any()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_connected", _no_connectivity_check)
+            with pytest.raises(InvalidGraphError, match="equal in/out degrees"):
+                weights_for(spec)
+    elif not _bfs_connected(adj):
+        with pytest.raises(GraphConnectivityError):
+            weights_for(spec)
+    else:
+        wm = weights_for(spec)
+        assert np.array_equal(wm.W, _loop_weights(adj, metropolis=symmetric))
+        assert wm.rho_w == _dense_rho(wm.W)
 
 
 def test_every_built_in_kind_is_connected():

@@ -17,21 +17,24 @@ noisy runs of a custom 60-node ring problem whose sides differ in size
 (p = 3, d = 2), one with Gaussian and one with clipped Gaussian noise, and
 of two runs of all four methods on a custom 256-node ring problem, one
 with Gaussian noise and one with exact gradients and post-mix stepsizes
-(the only runs whose W is sparse enough to gossip by the CSR product); a
-custom sweep on a 60-node ring, a counterexample exponent sweep and a
-noisy synthetic sweep on 16 nodes over a primal-stepsize and an exponent
-grid, each with its ``sweep.csv`` (the cells of a sweep share one
-problem instance per key, so these check that sharing); one ``run`` and
-one ``sweep`` whose flags come from a ``--config`` file written into
-OUT_DIR, each with one of the file's values overridden by an explicit
-flag (the primal stepsize, and the sweep's primal-stepsize grid); three
-``adast counterexample`` reports, the third with a d-adast horizon
-(``--K-escape``) and a primal stepsize of its own; and seven ``adast
-spectral`` lines: one per graph kind the command line can build, a
-1600-node ring and a 400-node dense graph.  The rings' constants come from
-the DFT after a circulance test over 10 and 160 blocks of rows; the dense
-graphs' rounded diagonals break circulance, so theirs come from the
-eigen-solve.  Each lands in its own subdirectory of OUT_DIR.
+(the only runs whose W is sparse enough to gossip by the CSR product),
+and of two short synthetic runs on 8 nodes, one over the directed ring
+and one over the dense graph, so that every graph kind the command line
+builds reaches a trace; a custom sweep on a 60-node ring, a
+counterexample exponent sweep and a noisy synthetic sweep on 16 nodes
+over a primal-stepsize and an exponent grid, each with its ``sweep.csv``
+(the cells of a sweep share one problem instance per key, so these check
+that sharing); one ``run`` and one ``sweep`` whose flags come from a
+``--config`` file written into OUT_DIR, each with one of the file's
+values overridden by an explicit flag (the primal stepsize, and the
+sweep's primal-stepsize grid); three ``adast counterexample`` reports,
+the third with a d-adast horizon (``--K-escape``) and a primal stepsize
+of its own; and seven ``adast spectral`` lines: one per graph kind the
+command line can build, a 1600-node ring and a 400-node dense graph.  The
+rings' constants come from the DFT after a circulance test over 10 and
+160 blocks of rows; the dense graphs' rounded diagonals break
+circulance, so theirs come from the eigen-solve.  Each lands in its own
+subdirectory of OUT_DIR.
 
 ``compare`` checks that both sets hold the same files, that every file
 is byte-identical, and that every ``manifest.json`` holds the same values
@@ -151,6 +154,10 @@ def write_set(src: Path, out: Path) -> None:
         "custom-ring256-noisy": ["run", *ring256, "--noise", "gaussian"],
         "custom-ring256-mixed": ["run", *ring256, "--noise", "none",
                                  "--stepsize-source", "mixed"],
+        # the only runs over the directed ring and over the dense graph
+        **{f"synthetic-{kind}": ["run", "--experiment", "synthetic", "--n", "8", "--topology",
+                                 kind, "--K", "500", "--trace-stride", "10"]
+           for kind in ("directed-ring", "dense")},
         "custom-sweep": ["sweep", "--experiment", "custom", "--problem-json",
                          str(problem_json), "--topology", "ring", "--n", "60",
                          "--algos", "d-sgda,d-adast,d-adast-coord", "--noise", "none",
