@@ -112,9 +112,7 @@ class AlgoConfig:
             raise ConfigError("stepsizes gamma_x and gamma_y must be positive")
         if self.c0 < 0:
             raise ConfigError("initial buffer c0 must be nonnegative")
-        require_int(K=self.K)
-        if self.K < 0:
-            raise ConfigError("iteration count K must be nonnegative")
+        require_int(0, K=self.K)
         if self.stepsize_source not in STEPSIZE_SOURCES:
             raise ConfigError("stepsize_source must be 'local' or 'mixed'")
         if self.algo in ADAPTIVE_ALGORITHMS and not (0.0 < self.beta < self.alpha < 1.0):
@@ -297,34 +295,11 @@ def _psi(mx_pow: np.ndarray, my_pow: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, mx_pow / safe, 1.0)
 
 
-def _initial_state(
-    problem: QuadraticMinimaxProblem, cfg: AlgoConfig, x0, y0
-) -> RunState:
-    n, p, d = problem.n, problem.p, problem.d
-    coord = cfg.algo == "d-adast-coord"
-    a, q = p + d, p + d if coord else 2
-    Z = np.empty(n * (a + q))
-    XY, M = _blocks(Z, n, a, split=not _pre_mix(cfg))
-    # a scalar or one (dim,) row stands for every node's row
-    for v, dim, out, name in ((x0, p, XY[:, :p], "x0"), (y0, d, XY[:, p:], "y0")):
-        arr = np.asarray(0.0 if v is None else v, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{name} must be finite")
-        if arr.shape not in ((), (dim,), (n, dim)):
-            raise ConfigError(f"{name} must be scalar, ({dim},) or ({n},{dim}), got {arr.shape}")
-        out[...] = arr
-    M[...] = cfg.c0
-    return RunState(Z=Z, XY=XY, M=M, p=p, coord=coord)
-
-
-def _pre_mix(cfg: AlgoConfig) -> bool:
-    """Whether the accumulators are tracked and ride in the iterate round."""
-    return cfg.algo in TRACKING_ALGORITHMS and cfg.stepsize_source == "local"
-
-
 class _Stepper:
     """One iteration of the configured method, in place on the state buffer.
 
+    Construction decides once which method it is, lays out the state (see
+    module docstring) and fills it from x0, y0 and c0 as ``state``.
     ``step(G, H, D)`` takes the sampled gradients G = [GX | GY] (n, p + d)
     and writes into H (n, q) the squared-gradient increments of the
     accumulators and, for the adaptive methods, into D (n, q) the applied
@@ -334,14 +309,33 @@ class _Stepper:
     """
 
     __slots__ = ("Z", "p", "q", "W", "coord", "adaptive", "pre_mix", "post_mix", "split", "S",
-                 "projection", "row_norms", "sides", "alpha", "coef", "neg_expo", "psi",
+                 "projection", "row_norms", "sides", "alpha", "coef", "neg_expo", "psi", "state",
                  "XY", "M", "Y", "B_XY", "B_M", "B", "mix_in", "mix_out", "M_read", "mx", "my")
 
-    def __init__(self, state: RunState, W: np.ndarray, cfg: AlgoConfig):
-        XY, M = state.XY, state.M
-        n, a = XY.shape
-        p = state.p
-        self.Z, self.p, self.q = state.Z, p, M.shape[1]
+    def __init__(self, problem: QuadraticMinimaxProblem, W: np.ndarray, cfg: AlgoConfig, x0, y0):
+        n, p, d = problem.n, problem.p, problem.d
+        a, tracking = p + d, cfg.algo in TRACKING_ALGORITHMS
+        self.coord, self.adaptive = cfg.algo == "d-adast-coord", cfg.algo in ADAPTIVE_ALGORITHMS
+        # pre-mix tracking: the accumulators ride along in the iterate round
+        self.pre_mix = tracking and cfg.stepsize_source == "local"
+        self.post_mix, self.split = tracking and not self.pre_mix, not self.pre_mix
+        self.p, self.q = p, a if self.coord else 2
+        # the state, and the pre-mix buffer B as a state: where a non-finite
+        # value is first seen before a round spreads it (the fields of B a
+        # method never writes stay 0)
+        self.state, self.B = (RunState(Z, *_blocks(Z, n, a, self.split), p=p, coord=self.coord)
+                              for Z in (np.empty(n * (a + self.q)), np.zeros(n * (a + self.q))))
+        self.Z, self.XY, self.M = self.state.Z, self.state.XY, self.state.M
+        self.Y = self.XY[:, p:]
+        # a scalar or one (dim,) row stands for every node's row
+        for v, dim, out, name in ((x0, p, self.XY[:, :p], "x0"), (y0, d, self.Y, "y0")):
+            v = np.asarray(0.0 if v is None else v, dtype=float)
+            if not np.isfinite(v).all():
+                raise ConfigError(f"{name} must be finite")
+            if v.shape not in ((), (dim,), (n, dim)):
+                raise ConfigError(f"{name} must be scalar, ({dim},) or ({n},{dim}), got {v.shape}")
+            out[...] = v
+        self.M[...] = cfg.c0
         # Gossip by a CSR product when the widest row of W has k nonzeros
         # and k * 64 < n, so never for n <= 64.  Microseconds per mix call,
         # dense / CSR, plain and centered at 2 columns (2-core box, best of
@@ -355,11 +349,6 @@ class _Stepper:
         # other.
         k = int(np.count_nonzero(W, axis=1).max())
         self.W = csr_array(W) if k * 64 < n else W
-        self.coord = state.coord
-        self.adaptive = cfg.algo in ADAPTIVE_ALGORITHMS
-        self.pre_mix = _pre_mix(cfg)
-        self.post_mix = cfg.algo in TRACKING_ALGORITHMS and not self.pre_mix
-        self.split = not self.pre_mix
         self.projection = None if cfg.projection.kind == "all" else cfg.projection
         # one accumulator per side over several coordinates: sum squares per row
         self.row_norms = not self.coord and a > 2
@@ -372,16 +361,11 @@ class _Stepper:
             -np.repeat([cfg.alpha, cfg.beta], self.sides if self.coord else (1, 1)), (n, 1))
         self.psi = np.ones((n, a))  # coordinate-wise psi on the x columns, 1 on the y columns
         self.S = np.empty((n, a))  # signed stepsize of every iterate entry
-        B = np.zeros_like(self.Z)  # the pre-mix buffer; fields a method never writes stay 0
-        self.XY, self.M, self.Y = XY, M, XY[:, p:]
-        self.B_XY, self.B_M = _blocks(B, n, a, self.split)
-        # B as a state: where a non-finite value is first seen before a round spreads it
-        self.B = RunState(Z=B, XY=self.B_XY, M=self.B_M, p=p, coord=self.coord)
-        # accumulators ride along in the iterate round for pre-mix tracking
-        self.mix_in, self.mix_out = (
-            (self.B_XY, XY) if self.split else (B.reshape(n, -1), self.Z.reshape(n, -1)))
+        self.B_XY, self.B_M = self.B.XY, self.B.M
+        self.mix_in, self.mix_out = ((self.B_XY, self.XY) if self.split else
+                                     (self.B.Z.reshape(n, -1), self.Z.reshape(n, -1)))
         # the accumulators the stepsize reads, and their x and y parts
-        self.M_read = self.B_M if self.pre_mix else M
+        self.M_read = self.B_M if self.pre_mix else self.M
         self.mx, self.my = _sides(self.M_read, p, self.coord)
 
     def step(self, G: np.ndarray, H: np.ndarray, D: np.ndarray) -> None:
@@ -453,11 +437,12 @@ class _Tally:
     """Reduces the run loop's buffers into the trace, a chunk at a time.
 
     ``H`` and ``D`` receive the stepper's increments and denominators, one
-    (n, q) row per iteration, and ``snaps`` a copy of the flat state buffer
-    per record; ``flush(j, r)`` reduces the first j rows into the
-    per-iteration series and the first r snapshots into record columns.  A
-    chunk holds about _CHUNK_DOUBLES doubles, so memory does not grow with
-    K beyond the series and records themselves; ``trace()`` drops the chunk
+    (n, q) row per iteration; ``record(k)`` is the one place a record is
+    taken: it copies the flat state buffer into ``snaps`` and notes k.
+    ``flush(j)`` reduces the first j rows into the per-iteration series and
+    the snapshots taken since the last flush into record columns.  A chunk
+    holds about _CHUNK_DOUBLES doubles, so memory does not grow with K
+    beyond the series and records themselves; ``trace()`` drops the chunk
     buffers before it builds the output.
     """
 
@@ -469,6 +454,7 @@ class _Tally:
         self.D = np.empty((self.chunk, n, q if stepper.adaptive else 0))
         # records of one chunk, plus the one at k = 0 and the final one
         self.snaps = np.empty((self.chunk // trace_stride + 3, size))
+        self.r = 0  # snapshots taken since the last flush
         self.ks: list[int] = []
         # gsum_x, gsum_y, zeta_v, zeta_u, zeta_v_hat
         self.series: list[list[np.ndarray]] = [[np.zeros(0)] for _ in range(5)]
@@ -476,8 +462,14 @@ class _Tally:
         self.columns: list[list[np.ndarray]] = [[] for _ in range(6)]
         self.gsum = [0.0, 0.0]
 
-    def flush(self, j: int, r: int) -> None:
-        st, cfg = self.stepper, self.cfg
+    def record(self, k: int) -> None:
+        self.snaps[self.r] = self.stepper.Z
+        self.r += 1
+        self.ks.append(k)
+
+    def flush(self, j: int) -> None:
+        st, cfg, r = self.stepper, self.cfg, self.r
+        self.r = 0
         if j:
             for i, h in enumerate(_sides(self.H[:j], st.p, st.coord)):
                 h = np.ascontiguousarray(h).reshape(j, -1)
@@ -570,20 +562,16 @@ def run(
     W = np.asarray(W, dtype=float)
     if W.shape != (problem.n, problem.n):
         raise ConfigError(f"weight matrix shape {W.shape} does not match n={problem.n}")
-    require_int(trace_stride=trace_stride)
-    if trace_stride < 1:
-        raise ConfigError("trace_stride must be >= 1")
+    require_int(1, trace_stride=trace_stride)
+    require_int(0, seed=seed)
 
-    state = _initial_state(problem, cfg, x0, y0)
-    stepper = _Stepper(state, W, cfg)
-    tally = _Tally(problem, cfg, stepper, trace_stride)
+    stepper = _Stepper(problem, W, cfg, x0, y0)
+    state, tally = stepper.state, _Tally(problem, cfg, stepper, trace_stride)
     Z, XY, K, chunk = state.Z, stepper.XY, cfg.K, tally.chunk
-    H, D, snaps, ks = tally.H, tally.D, tally.snaps, tally.ks
     stream = GradientStream(seed)
-    step = stepper.step
-    snaps[0] = Z
-    ks.append(0)
-    j, r = 0, 1  # rows and snapshots filled in the current chunk
+    step, record = stepper.step, tally.record
+    record(0)
+    j = 0  # rows filled in the current chunk
 
     abort: AbortInfo | None = None
     # Divergence is a handled outcome (abort record + exit path), so the
@@ -591,9 +579,9 @@ def run(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(K):
             if j == chunk:
-                tally.flush(j, r)
-                j = r = 0
-            step(sample_grad_block(problem, XY, noise, stream, k), H[j], D[j])
+                tally.flush(j)
+                j = 0
+            step(sample_grad_block(problem, XY, noise, stream, k), tally.H[j], tally.D[j])
             j += 1
             state.k = k + 1
             # Cheap pre-screen: the sum of squares is finite only when every
@@ -605,13 +593,8 @@ def run(
                 abort = AbortInfo(k=k + 1, node=node, field=field_name)
                 break
             if (k + 1) % trace_stride == 0:
-                snaps[r] = Z
-                r += 1
-                ks.append(k + 1)
+                record(k + 1)
         if K > 0 and abort is None:
-            snaps[r] = Z
-            r += 1
-            ks.append(K)
-        tally.flush(j, r)
-        del H, D, snaps  # the chunk buffers are spent; trace() releases them
+            record(K)
+        tally.flush(j)
         return tally.trace(state, abort)

@@ -30,8 +30,7 @@ import numpy as np
 
 from .algorithms import STEPSIZE_SOURCES, AlgoConfig
 from .errors import ConfigError
-from .harness import (EXPERIMENTS, RunConfig, counterexample_report, problem_for, run_experiment,
-                      start_for)
+from .harness import EXPERIMENTS, RunConfig, counterexample_report, prepare, run_experiment
 from .problems import NOISE_KINDS, NoiseModel
 from .topology import GraphKind, GraphSpec, validate_doubly_stochastic, weights_for
 
@@ -87,9 +86,12 @@ def _csv_list(text: str) -> list[str]:
 
 def _csv_floats(text: str) -> list[float]:
     try:
-        return [float(t) for t in _csv_list(text)]
+        values = [float(t) for t in _csv_list(text)]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+    if len(set(values)) < len(values):
+        raise ConfigError(f"grid {text!r} repeats a value")
+    return values
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -223,7 +225,7 @@ def cmd_sweep(args) -> int:
              for cell in product(*grids)]
     problems: dict = {}
     for _, cfg in cells:
-        start_for(cfg, problem_for(cfg, problems))
+        prepare(cfg, problems)
     rows = ["gamma_x,gamma_y,alpha,beta,algo,final_grad_phi_sq,final_zeta_v_sup,"
             "iters_to_threshold,aborted"]
     any_abort = False

@@ -142,18 +142,17 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Every check that needs no problem instance.  Past it a run fails
-        only on a problem factory's refusal or in ``start_for``."""
+        only on a problem factory's refusal or in ``prepare``."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         if not self.algo_configs:
             raise ConfigError("at least one algorithm config is required")
-        require_int(trace_stride=self.trace_stride)
-        if self.trace_stride < 1:
-            raise ConfigError("trace_stride must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        require_int(1, trace_stride=self.trace_stride)
+        require_int(0, seed=self.seed)
+        if self.n is not None:
+            require_int(1, n=self.n)
         require_finite(init_x=self.init_x, init_y=self.init_y, init_spread=self.init_spread)
         kind = _TABLE[self.experiment]
         for name, what in kind.needs:
@@ -180,26 +179,22 @@ class ExperimentResult:
         return any(t.aborted for t in self.traces.values())
 
 
-def problem_for(cfg: RunConfig, problems: dict) -> QuadraticMinimaxProblem:
-    """The problem of ``cfg``: taken from ``problems``, which maps the
-    experiment and the arguments its instance depends on (see ``_TABLE``)
-    to the instance, when its key is there, and built into it when not."""
+def prepare(cfg: RunConfig, problems: dict) -> tuple:
+    """The problem, graph, start (X0, Y0) and start note of ``cfg``.
+
+    The problem is taken from ``problems``, which maps the experiment and
+    the arguments its instance depends on (see ``_TABLE``) to the instance,
+    when its key is there, and built into it when not.  The start follows
+    the experiment's anchor from ``cfg.start()``.  Refuses a node count that
+    disagrees with the problem's and a start with a non-finite entry."""
     kind = _TABLE[cfg.experiment]
     key = (cfg.experiment, *kind.key(cfg))
     if key not in problems:
         problems[key] = kind.build(*key[1:])
-    return problems[key]
-
-
-def start_for(cfg: RunConfig, problem: QuadraticMinimaxProblem) -> tuple:
-    """The graph, start (X0, Y0) and start note of ``cfg`` on ``problem``,
-    by the experiment's anchor (see ``_TABLE``) from ``cfg.start()``.
-    Refuses a node count that disagrees with the problem's and a start
-    with a non-finite entry."""
+    problem = problems[key]
     n = problem.n
     if cfg.n is not None and cfg.n != n:
         raise ConfigError(f"--n {cfg.n} does not match the {cfg.experiment} problem's n={n}")
-    kind = _TABLE[cfg.experiment]
     topo = cfg.topology or GraphSpec(n=n, kind=kind.graph)
     if topo.n != n:
         raise ConfigError(f"topology n={topo.n} does not match problem n={n}")
@@ -212,7 +207,7 @@ def start_for(cfg: RunConfig, problem: QuadraticMinimaxProblem) -> tuple:
     finite = np.isfinite(X0).all(axis=1) & np.isfinite(Y0).all(axis=1)
     if not finite.all():
         raise ConfigError(f"the start is not finite at node {np.argmin(finite)} ({note})")
-    return topo, X0, Y0, note
+    return problem, topo, X0, Y0, note
 
 
 def write_trace(trace: Trace, path: Path | str) -> None:
@@ -263,8 +258,7 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
     lets the series build each distinct problem once (see ``_TABLE`` for
     what an instance depends on).  Weights, start and manifest are
     made anew, so the outputs equal those of a run without it."""
-    problem = problem_for(cfg, {} if problems is None else problems)
-    topo, X0, Y0, note = start_for(cfg, problem)
+    problem, topo, X0, Y0, note = prepare(cfg, {} if problems is None else problems)
     wm = weights_for(topo)
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     if out_dir is not None:
@@ -278,6 +272,7 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
     for ac in cfg.algo_configs:
         seen[ac.algo] = seen.get(ac.algo, -1) + 1
         labels.append(f"{ac.algo}-{seen[ac.algo]}" if seen[ac.algo] else ac.algo)
+    files = {label: f"trace_{label}.csv" for label in labels}
 
     trace_map = {
         label: run(problem, wm.W, ac, cfg.noise, x0=X0, y0=Y0, seed=cfg.seed,
@@ -305,19 +300,17 @@ def run_experiment(cfg: RunConfig, problems: dict | None = None) -> ExperimentRe
         },
         "aborts": {label: None if t.abort is None else asdict(t.abort)
                    for label, t in trace_map.items()},
-        "traces": {label: f"trace_{label}.csv" for label in labels},
+        "traces": files,
     }
 
     if out_dir is not None:
         for label, trace in trace_map.items():
-            write_trace(trace, out_dir / f"trace_{label}.csv")
+            write_trace(trace, out_dir / files[label])
         # streamed, not joined first, and without indent, which halves the
         # text of a 400-node manifest (0.97 to 0.53 MB)
         with open(out_dir / "manifest.json", "w") as f:
             json.dump(manifest, f, sort_keys=True)
-        (out_dir / "plots.gp").write_text(
-            _gnuplot_script({label: f"trace_{label}.csv" for label in labels})
-        )
+        (out_dir / "plots.gp").write_text(_gnuplot_script(files))
 
     return ExperimentResult(problem=problem, traces=trace_map, manifest=manifest, out_dir=out_dir)
 

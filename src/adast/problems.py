@@ -263,13 +263,16 @@ def require_finite(**values: float | None) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def require_int(**values) -> None:
-    """Raise ConfigError naming the first value that is not an integer."""
+def require_int(least: int, **values) -> None:
+    """Raise ConfigError naming the first value that is not an integer or
+    is below ``least``."""
     for name, value in values.items():
         try:
             operator.index(value)
         except TypeError:
             raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -327,16 +330,21 @@ class ProjectionSet:
             hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
             if lo.shape != hi.shape:
                 raise ConfigError("box lo/hi shape mismatch")
-            if np.any(lo > hi):
-                raise ConfigError("box projection needs lo <= hi elementwise")
+            # a bound may be infinite (a half-open box is convex too), but not
+            # NaN, and no side may be empty
+            if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+                raise ConfigError(f"box projection needs lo <= hi elementwise, lo < inf and "
+                                  f"hi > -inf, got lo={lo.tolist()}, hi={hi.tolist()}")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "ball":
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise ConfigError("ball projection needs a center and radius > 0")
-            object.__setattr__(
-                self, "center", np.atleast_1d(np.asarray(self.center, dtype=float))
-            )
+            if self.center is None or self.radius is None or not 0 < self.radius < np.inf:
+                raise ConfigError(f"ball projection needs a center and a finite radius > 0, "
+                                  f"got radius={self.radius}")
+            center = np.atleast_1d(np.asarray(self.center, dtype=float))
+            if not np.isfinite(center).all():
+                raise ConfigError(f"ball center must be finite, got {center.tolist()}")
+            object.__setattr__(self, "center", center)
         else:
             raise ConfigError(f"unknown projection kind {self.kind!r}")
 
@@ -536,8 +544,7 @@ L_LOW, L_HIGH = 1.5, 2.5
 def make_synthetic(n: int, seed: int) -> QuadraticMinimaxProblem:
     """n scalar nodes f_i(x,y) = -y^2/2 + L_i x y - L_i^2 x^2 / 2 - 2 L_i x + L_i y
     with L_i drawn uniformly from [L_LOW, L_HIGH]."""
-    if n < 1:
-        raise ConfigError(f"node count must be >= 1, got {n}")
+    require_int(1, n=n)
     rng = np.random.default_rng(seed)
     L = rng.uniform(L_LOW, L_HIGH, size=n)
     return _scalar_problem(

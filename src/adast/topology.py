@@ -73,9 +73,7 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        require_int(n=self.n)
-        if self.n < 1:
-            raise ConfigError(f"node count must be >= 1, got {self.n}")
+        require_int(1, n=self.n)
         try:
             object.__setattr__(self, "kind", GraphKind(self.kind))
         except ValueError:
@@ -111,11 +109,7 @@ class WeightMatrix:
 
 
 def _exponential_offsets(n: int) -> list[int]:
-    offsets, o = [], 1
-    while o <= n - 1:
-        offsets.append(o)
-        o *= 2
-    return offsets
+    return [1 << i for i in range(int(n - 1).bit_length())]
 
 
 def _dense_offsets(n: int) -> list[int]:

@@ -149,8 +149,7 @@ def test_large_ring_run_on_csr_matches_the_dense_run(monkeypatch):
     W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.05, gamma_y=0.1, K=200)
     kw = dict(x0=np.linspace(-1, 1, 400)[:, None] * [1.0, 0.5], y0=0.2, seed=3, trace_stride=10)
-    state = alg._initial_state(prob, cfg, None, None)
-    assert isinstance(alg._Stepper(state, W, cfg).W, csr_array)
+    assert isinstance(alg._Stepper(prob, W, cfg, None, None).W, csr_array)
     got = run(prob, W, cfg, NoiseModel.gaussian(0.1), **kw)
     with monkeypatch.context() as m:
         m.setattr(alg, "csr_array", lambda W: W)
@@ -174,7 +173,7 @@ def test_post_mix_tracking_on_a_large_ring_keeps_the_identity():
     W = weights_for(GraphSpec(n=400, kind=GraphKind.RING)).W
     cfg = AlgoConfig(algo="d-adast", gamma_x=0.05, gamma_y=0.1, K=10_000,
                      stepsize_source="mixed")
-    stepper = alg._Stepper(alg._initial_state(prob, cfg, None, None), W, cfg)
+    stepper = alg._Stepper(prob, W, cfg, None, None)
     assert stepper.split and stepper.post_mix and isinstance(stepper.W, csr_array)
     trace = run(prob, W, cfg, NoiseModel.gaussian(0.1),
                 x0=np.linspace(-1, 1, 400)[:, None] * [1.0, 0.5], y0=0.2, seed=5,
@@ -199,8 +198,7 @@ def test_stepper_keeps_at_most_29_attributes(algo, source):
     prob = make_random_problem(n=5, p=2, d=2, seed=1)
     W = weights_for(GraphSpec(n=5, kind=GraphKind.RING)).W
     cfg = AlgoConfig(algo=algo, gamma_x=0.05, gamma_y=0.1, K=1, stepsize_source=source)
-    state = alg._initial_state(prob, cfg, None, None)
-    assert not hasattr(alg._Stepper(state, W, cfg), "__dict__")
+    assert not hasattr(alg._Stepper(prob, W, cfg, None, None), "__dict__")
 
 
 def test_noisy_run_does_not_depend_on_the_noise_chunk(monkeypatch):
@@ -375,11 +373,11 @@ def test_dadast_tracking_conservation_and_min_monotone():
     # minimum accumulator over nodes never decreases (checked by driving
     # the run loop's stepper, which exposes the state every step)
     mins = []
-    from adast.algorithms import _initial_state, _Stepper  # test-only reach-in
+    from adast.algorithms import _Stepper  # test-only reach-in
     from adast.problems import GradientStream, sample_grad_block
 
-    state = _initial_state(prob, cfg, 0.3, -0.2)
-    stepper = _Stepper(state, W, cfg)
+    stepper = _Stepper(prob, W, cfg, 0.3, -0.2)
+    state = stepper.state
     H, D = np.empty((4, stepper.q)), np.empty((4, stepper.q))
     stream = GradientStream(5)
     noise = NoiseModel.gaussian(0.1)
@@ -815,7 +813,7 @@ def test_run_chunked_reduction_matches_one_chunk(monkeypatch, chunk_iters):
         with monkeypatch.context() as m:
             m.setattr(alg, "_CHUNK_DOUBLES", 1 << 40)
             ref = run(prob, W, cfg, noise, **kw)
-        size = alg._initial_state(prob, cfg, None, None).Z.size
+        size = alg._Stepper(prob, W, cfg, None, None).Z.size
         with monkeypatch.context() as m:
             m.setattr(alg, "_CHUNK_DOUBLES", chunk_iters * size)
             got = run(prob, W, cfg, noise, **kw)
@@ -929,6 +927,11 @@ def test_iteration_count_and_trace_stride_must_be_integers(value):
                                                     f"{value!r}")):
         run(p, W, cfg, trace_stride=value)
     assert run(p, W, cfg, trace_stride=np.int64(2)).k.tolist() == [0, 2, 3]
+    # a seed of 2.5 used to run silently as seed 2
+    with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer, got {value!r}")):
+        run(p, W, cfg, NoiseModel.gaussian(0.1), seed=value)
+    with pytest.raises(ConfigError, match=re.escape("seed must be >= 0, got -1")):
+        run(p, W, cfg, seed=-1)
 
 
 @pytest.mark.parametrize("start", [{"x0": np.inf}, {"y0": [[0.0], [np.nan]]}],

@@ -243,6 +243,12 @@ _REFUSED_WITHOUT_A_PROBLEM = {
     "counterexample-x0-zero": ({"experiment": "counterexample", "init_x": 0.0}, "x0 != 0"),
     "fractional-trace-stride": ({"experiment": "case-study", "trace_stride": 2.5},
                                 "trace_stride must be an integer, got 2.5"),
+    # seed = 2.5 used to run as seed 2 and be recorded as 2.5; n = 4.0 died
+    # in the synthetic factory with numpy's bare TypeError
+    "fractional-seed": ({"experiment": "case-study", "seed": 2.5},
+                        "seed must be an integer, got 2.5"),
+    "fractional-n": ({"experiment": "synthetic", "n": 4.0}, "n must be an integer, got 4.0"),
+    "zero-n": ({"experiment": "synthetic", "n": 0}, "n must be >= 1, got 0"),
 }
 
 
@@ -311,9 +317,9 @@ def test_experiment_defaults_and_instance_sharing(tmp_path, experiment):
     assert man["init"].startswith(note)
     assert (man["init_x0"], man["init_y0"]) == start(result.problem)
     problems = {}
-    first = harness.problem_for(config(), problems)
-    assert harness.problem_for(config(), problems) is first
-    changed = harness.problem_for(config(**{field_name: value}), problems)
+    first = harness.prepare(config(), problems)[0]
+    assert harness.prepare(config(), problems)[0] is first
+    changed = harness.prepare(config(**{field_name: value}), problems)[0]
     # the case study's instance depends on nothing, so another seed shares it
     assert (changed is first) == (experiment == "case-study")
     assert len(problems) == 1 + (experiment != "case-study")
@@ -810,6 +816,18 @@ def test_cli_sweep_non_finite_grid_value_writes_no_cell(tmp_path, capsys):
                    "--gamma-x-grid", "0.1,nan", "--out-dir", str(out)])
     assert rc == 2
     assert "gamma_x must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0.1,0.1", "0.1,1e-1", "0.05,0.1,0.10"])
+def test_cli_sweep_grid_that_repeats_a_value_writes_nothing(tmp_path, capsys, grid):
+    # a repeated value used to run its cell twice into one directory and
+    # write its rows twice into sweep.csv
+    out = tmp_path / "out"
+    rc = cli_main(["sweep", "--experiment", "case-study", "--algos", "d-adast", "--K", "10",
+                   "--gamma-x-grid", grid, "--out-dir", str(out)])
+    assert rc == 2
+    assert f"grid {grid!r} repeats a value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -154,6 +154,9 @@ def test_make_synthetic_seeded():
     assert make_synthetic(3, seed=0).n == 3
     with pytest.raises(ConfigError):
         make_synthetic(0, seed=0)
+    # 4.0 used to reach numpy, which raised a bare TypeError
+    with pytest.raises(ConfigError, match=r"n must be an integer, got 4\.0"):
+        make_synthetic(4.0, seed=0)
 
 
 # ------------------------------------------------------------------ gradients
@@ -257,6 +260,32 @@ def test_projection_invalid_box():
         ProjectionSet.box([1.0], [0.0])
     with pytest.raises(ConfigError):
         ProjectionSet.ball([0.0], -1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProjectionSet.box([0.0, math.nan], [1.0, 1.0]),
+    lambda: ProjectionSet.box([0.0], [math.nan]),
+    lambda: ProjectionSet.box([math.inf], [math.inf]),
+    lambda: ProjectionSet.box([-math.inf], [-math.inf]),
+    lambda: ProjectionSet.ball([math.inf], 1.0),
+    lambda: ProjectionSet.ball([0.0, math.nan], 1.0),
+    lambda: ProjectionSet.ball([0.0], math.nan),
+    lambda: ProjectionSet.ball([0.0], math.inf),
+    lambda: ProjectionSet.ball([0.0], 0.0),
+], ids=["box-nan-lo", "box-nan-hi", "box-lo-inf", "box-hi-minus-inf", "ball-inf-center",
+        "ball-nan-center", "ball-nan-radius", "ball-inf-radius", "ball-zero-radius"])
+def test_projection_refuses_a_bound_that_is_not_a_number_or_empties_the_set(make):
+    # each of these used to be accepted; the NaN and infinite centers then
+    # projected every point to NaN
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_projection_onto_a_half_open_box():
+    # an infinite bound leaves that side open, and the box stays convex
+    box = ProjectionSet.box([-math.inf, 0.0], [1.0, math.inf])
+    assert project(box, np.array([[-5.0, -2.0], [3.0, 7.0]])).tolist() == [[-5.0, 0.0],
+                                                                             [1.0, 7.0]]
 
 
 def test_projection_nonexpansive():
